@@ -5,6 +5,10 @@ backward closure plus parent links on the output tensor.  Calling
 ``backward()`` on a scalar walks the tape in reverse topological order,
 accumulating gradients into every tensor that requires them.  The tape
 is rebuilt on each forward pass; tensors and tapes are single-threaded.
+
+A tensor owns its ``.grad``: no other tensor's gradient shares its memory,
+and later backward passes add into it in place.  Callers that keep a
+gradient past the next backward or optimizer step must copy it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into .grad over the recorded tape."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
+        if not self.requires_grad:
+            return
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -66,7 +72,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        _accumulate(self, np.ones_like(self.data))
+        _accumulate(self, np.ones_like(self.data), owned=True)
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
@@ -79,11 +85,26 @@ def parameter(data) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    # copy on first write: g may alias a buffer shared with another parent
-    t.grad = np.array(g, copy=True) if t.grad is None else t.grad + g
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add gradient g into t.grad, which t owns.
+
+    On first write an ``owned`` g (a fresh buffer nothing else holds)
+    becomes t.grad as it is; any other g may be a view of another tensor's
+    gradient and is copied.  Later writes add in place, so callers must
+    copy t.grad before they keep it.
+    """
+    if t.grad is None:
+        # asarray: a ufunc on 0-d arrays returns a numpy scalar, not an array
+        t.grad = np.asarray(g) if owned else np.array(g, copy=True)
+    else:
+        t.grad += g
+
+
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """t.grad, created as zeros on first use, for ops that scatter into it."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -112,8 +133,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                # a reduced (broadcast) gradient is fresh; an unreduced one is g itself
+                _accumulate(t, _unbroadcast(g, t.data.shape), owned=t.data.shape != g.shape)
 
     return _make(out, (a, b), backward)
 
@@ -122,8 +145,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _make(out, (a, b), backward)
 
@@ -132,7 +157,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     out = a.data * s
 
     def backward(g):
-        _accumulate(a, g * s)
+        _accumulate(a, g * s, owned=True)
 
     return _make(out, (a,), backward)
 
@@ -145,8 +170,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), owned=True)
 
     return _make(out, (a, b), backward)
 
@@ -163,9 +190,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = table.data[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        _accumulate(table, gt)
+        np.add.at(_grad_buffer(table), ids, g)
 
     return _make(out, (table,), backward)
 
@@ -177,7 +202,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
-        _accumulate(x, s * (g - dot))
+        _accumulate(x, s * (g - dot), owned=True)
 
     return _make(s, (x,), backward)
 
@@ -191,7 +216,7 @@ def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     def backward(g):
         gm = g.mean(axis=axis, keepdims=True)
         gx = (g - gm - xhat * (g * xhat).mean(axis=axis, keepdims=True)) * inv
-        _accumulate(x, gx)
+        _accumulate(x, gx, owned=True)
 
     return _make(xhat, (x,), backward)
 
@@ -201,7 +226,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.where(mask, x.data, 0.0)
 
     def backward(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * mask, owned=True)
 
     return _make(out, (x,), backward)
 
@@ -211,15 +236,16 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    # tanh approximation; derivative computed analytically below
-    u = _GELU_C * (x.data + _GELU_A * x.data**3)
+    # tanh approximation; derivative computed analytically below.  The cube
+    # is two products: numpy's generic power is about 100x slower.
+    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
     t = np.tanh(u)
     out = 0.5 * x.data * (1.0 + t)
 
     def backward(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data**2)
         gx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du
-        _accumulate(x, g * gx)
+        _accumulate(x, g * gx, owned=True)
 
     return _make(out, (x,), backward)
 
@@ -250,7 +276,8 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             size = t.data.shape[axis]
             index = [slice(None)] * g.ndim
             index[axis] = slice(offset, offset + size)
-            _accumulate(t, g[tuple(index)])
+            if t.requires_grad:
+                _accumulate(t, g[tuple(index)])
             offset += size
 
     return _make(out, tuple(tensors), backward)
@@ -267,7 +294,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     out = x.data * keep
 
     def backward(g):
-        _accumulate(x, g * keep)
+        _accumulate(x, g * keep, owned=True)
 
     return _make(out, (x,), backward)
 
@@ -297,9 +324,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     out = x.data[start:stop]
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        _accumulate(x, gx)
+        _grad_buffer(x)[start:stop] += g
 
     return _make(out, (x,), backward)
 
@@ -319,7 +344,7 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
     def backward(g):
         p = e / z
         p[target] -= 1.0
-        _accumulate(logits, g * p)
+        _accumulate(logits, g * p, owned=True)
 
     return _make(loss, (logits,), backward)
 

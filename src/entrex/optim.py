@@ -27,7 +27,10 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
     """One bias-corrected Adam update; zeroes gradients afterwards.
 
     Every parameter must carry a gradient; moment buffers are created
-    lazily with the parameter's shape and dtype.
+    lazily with the parameter's shape and dtype.  Parameters and moments
+    are updated in place: on its first step under ``state`` a parameter's
+    data is copied into a buffer the optimizer owns, and every later step
+    writes into that buffer, so copy ``p.data`` before keeping it.
     """
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
@@ -41,13 +44,24 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
         m = state.first_moment.get(name)
         v = state.second_moment.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.first_moment[name] = m
-        state.second_moment[name] = v
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            m = state.first_moment[name] = np.zeros_like(p.data)
+            v = state.second_moment[name] = np.zeros_like(p.data)
+            p.data = p.data.copy()
+        # The textbook update, one operation at a time in its order:
+        #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
+        #   p = p - lr*(m/c1) / (sqrt(v/c2) + eps)
+        step = np.multiply(g, 1.0 - state.beta1, out=np.empty_like(m))
+        m *= state.beta1
+        m += step
+        np.multiply(g, 1.0 - state.beta2, out=step)
+        step *= g
+        v *= state.beta2
+        v += step
+        denom = np.divide(v, correction2, out=step)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update = m / correction1
+        update *= state.lr
+        update /= denom
+        p.data -= update
         p.grad = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -186,16 +187,18 @@ def tokenize(text: str, mentions: Sequence[Mention], vocab: Vocabulary) -> Token
     triples = split_tokens(text, mentions)
     spans = tuple((s, e) for s, e, _ in triples)
     token_ids = tuple(vocab.token_id(t) for _, _, t in triples)
+    # Spans are sorted and disjoint, so the tokens starting at or after a
+    # mention's start are a suffix, those ending by its end a prefix, and
+    # the tokens inside the mention are their (contiguous) overlap.
+    starts = [s for s, _ in spans]
+    ends = [e for _, e in spans]
     ranges = []
     for m in mentions:
-        inside = [i for i, (s, e) in enumerate(spans) if m.start <= s and e <= m.end]
-        if not inside:
+        lo, hi = bisect_left(starts, m.start), bisect_right(ends, m.end)
+        if lo >= hi:
             raise ValueError(
                 f"mention {m.surface!r} at [{m.start},{m.end}) produced no tokens"
             )
-        lo, hi = inside[0], inside[-1] + 1
-        if inside != list(range(lo, hi)):
-            raise ValueError(f"mention {m.surface!r} tokens are not contiguous")
         ranges.append((lo, hi))
     return TokenizedDocument(token_ids, spans, tuple(ranges))
 

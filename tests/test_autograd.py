@@ -1,6 +1,7 @@
 """Gradient checks for every differentiable op, plus Adam trace tests."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -217,11 +218,47 @@ class TestTapeMechanics:
         with pytest.raises(ValueError):
             parameter(np.zeros(3)).backward()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x, y: [ag.add(x, y)],
+            lambda x, y: [ag.reshape(x, (3, 2))],
+            lambda x, y: [ag.transpose(x, (1, 0))],
+            lambda x, y: [ag.mean(x, axis=0)],
+            lambda x, y: [ag.concat([x, y], axis=0)],
+            lambda x, y: [ag.reshape(ag.transpose(ag.add(x, x), (1, 0)), (6,))],
+        ],
+        ids=["add", "reshape", "transpose", "mean", "concat", "chain"],
+    )
+    def test_pass_through_grads_own_their_memory(self, build):
+        rng = _rng(32)
+        x, y = _rand(rng, 2, 3), _rand(rng, 2, 3)
+        outs = build(x, y)
+        loss = ag.mean(outs[-1])
+        loss.backward()
+        grads = [t.grad for t in (x, y, *outs, loss) if t.grad is not None]
+        for a, b in combinations(grads, 2):
+            assert not np.shares_memory(a, b)
+
     def test_constants_get_no_grad(self):
-        c = Tensor(np.ones(3))
-        x = parameter(np.ones(3))
-        ag.mean(ag.mul(x, c)).backward()
-        assert c.grad is None and x.grad is not None
+        rng = _rng(33)
+        x = _rand(rng, 2, 3)
+        consts = [Tensor(rng.standard_normal(s)) for s in ((2, 3), (3,), (3, 4), (1, 3))]
+        y = ag.matmul(ag.add(ag.add(x, consts[0]), consts[1]), consts[2])
+        z = ag.concat([ag.mul(x, consts[3]), consts[3]], axis=0)
+        ag.add(ag.mean(y), ag.mean(z)).backward()
+        assert x.grad is not None
+        assert all(c.grad is None for c in consts)
+
+    def test_scatter_grads_accumulate_with_other_uses(self):
+        """embedding_lookup and slice_rows add into a gradient another op began."""
+        rng = _rng(34)
+        table = _rand(rng, 6, 3)
+        ids = np.array([4, 1, 1])
+        def build():
+            rows = ag.add(ag.embedding_lookup(table, ids), ag.slice_rows(table, 2, 5))
+            return _project(ag.add(rows, ag.scale(ag.slice_rows(table, 0, 3), 2.0)), _rng(99))
+        check_gradients(build, {"table": table})
 
     def test_forward_backward_bit_deterministic(self):
         rng = _rng(31)
@@ -272,6 +309,18 @@ class TestAdam:
         p.grad = np.array([1.0])
         adam_step({"p": p}, AdamState())
         assert p.grad is None
+
+    def test_updates_in_place_without_touching_the_callers_array(self):
+        w = np.array([1.0, -2.0])
+        p = parameter(w)
+        state = AdamState(lr=0.1)
+        p.grad = np.array([0.5, 0.5])
+        adam_step({"p": p}, state)
+        buffer = p.data
+        p.grad = np.array([0.5, 0.5])
+        adam_step({"p": p}, state)
+        np.testing.assert_array_equal(w, [1.0, -2.0])
+        assert p.data is buffer and (buffer < w).all()
 
     def test_ten_step_trace_matches_reference(self):
         """Hand-rolled Adam on a 1-D quadratic, compared to 1e-10."""

@@ -15,6 +15,7 @@ from entrex.model import (
     finetune_loss,
     mention_repr,
 )
+from entrex.optim import AdamState, adam_step
 from entrex.tokenizer import PAD_ID, Vocabulary, tag_tokens_for_types
 from gradcheck import check_gradients
 
@@ -315,3 +316,23 @@ def test_transfer_load_keeps_fresh_heads():
     model_b.load_state(model_a.state_arrays(), transfer_only=True)
     np.testing.assert_array_equal(model_b.params["emb.token"].data, model_a.params["emb.token"].data)
     np.testing.assert_array_equal(model_b.params["head.relation.w1"].data, before)
+
+
+def test_state_snapshot_unchanged_by_adam_steps():
+    model, _ = _tiny_model(seed=20)
+    snapshot = model.state_arrays()
+    kept = {k: v.copy() for k, v in snapshot.items()}
+    state = AdamState(lr=0.1)
+
+    def train_step():
+        rel, nov = model.finetune_forward(np.array([0, 6, 7, 1]))
+        finetune_loss(rel, nov, 1, 2, LossWeights()).backward()
+        adam_step(model.finetune_parameters(), state)
+
+    train_step()
+    train_step()
+    assert not np.array_equal(model.params["enc0.ffn.w1"].data, kept["enc0.ffn.w1"])
+    model.load_state(snapshot)  # the loaded parameters are copies as well
+    train_step()
+    for name, value in kept.items():
+        np.testing.assert_array_equal(snapshot[name], value)

@@ -132,6 +132,36 @@ def test_spans_are_faithful_and_ordered():
             assert vocab.tokens[tid] == doc.full_text[s:e].lower()
 
 
+def _scan_mention_ranges(spans, mentions):
+    """Reference alignment: scan every span for the tokens inside each mention."""
+    ranges = []
+    for m in mentions:
+        inside = [i for i, (s, e) in enumerate(spans) if m.start <= s and e <= m.end]
+        assert inside == list(range(inside[0], inside[-1] + 1))
+        ranges.append((inside[0], inside[-1] + 1))
+    return ranges
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"min_identifiers": 24, "max_identifiers": 40, "max_mentions_per_identifier": 4}],
+    ids=["abstract", "long"],
+)
+def test_mention_alignment_matches_span_scan(kwargs):
+    rng = np.random.default_rng(29)
+    for i in range(60):
+        doc = random_document(rng, str(i), **kwargs)
+        tok = tokenize_document(doc, build_vocab([doc]))
+        assert list(tok.mention_token_ranges) == _scan_mention_ranges(tok.spans, doc.mentions)
+
+
+def test_mention_without_tokens_rejected():
+    text = "a   b"
+    vocab = build_vocab([_single_doc(text)])
+    with pytest.raises(ValueError, match="produced no tokens"):
+        tokenize(text, [Mention(1, 4, "   ", "Gene", ("G1",))], vocab)
+
+
 @pytest.fixture
 def tagged_doc():
     text = (
