@@ -8,8 +8,10 @@ documents (micro averaging) before the metrics are computed.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import CorpusError, Document, RelationAnnotation
@@ -32,21 +34,35 @@ class MatchLevel(Enum):
         )
 
 
+# Which fields of the full key (pmid, pair_key, relation_type, novelty)
+# each level matches on.
+_PROJECTIONS = {
+    MatchLevel.PAIR: itemgetter(0, 1),
+    MatchLevel.PAIR_TYPE: itemgetter(0, 1, 2),
+    MatchLevel.PAIR_NOVELTY: itemgetter(0, 1, 3),
+    MatchLevel.PAIR_TYPE_NOVELTY: itemgetter(0, 1, 2, 3),
+}
+
+
+def _full_key(pmid: str, rel: RelationAnnotation) -> tuple:
+    return (pmid, rel.pair_key(), rel.relation_type, rel.novelty)
+
+
 def match_key(pmid: str, rel: RelationAnnotation, level: MatchLevel) -> tuple:
-    key: tuple = (pmid, rel.pair_key())
-    if level in (MatchLevel.PAIR_TYPE, MatchLevel.PAIR_TYPE_NOVELTY):
-        key += (rel.relation_type,)
-    if level in (MatchLevel.PAIR_NOVELTY, MatchLevel.PAIR_TYPE_NOVELTY):
-        key += (rel.novelty,)
-    return key
+    return _PROJECTIONS[level](_full_key(pmid, rel))
 
 
-def _key_set(relations: Iterable[tuple[str, RelationAnnotation]], level: MatchLevel, side: str) -> set:
-    keys = [match_key(pmid, rel, level) for pmid, rel in relations]
+def _key_set(full_keys: Sequence[tuple], level: MatchLevel, side: str) -> set:
+    keys = list(map(_PROJECTIONS[level], full_keys))
     unique = set(keys)
     if len(unique) != len(keys):
         raise ValueError(f"duplicate {side} relations under the {level.value} key")
     return unique
+
+
+def _counts(gold_keys: set, pred_keys: set) -> tuple[int, int, int]:
+    tp = len(gold_keys & pred_keys)
+    return tp, len(pred_keys) - tp, len(gold_keys) - tp
 
 
 def match_counts(
@@ -55,10 +71,9 @@ def match_counts(
     level: MatchLevel,
 ) -> tuple[int, int, int]:
     """(TP, FP, FN) under the level's match key; duplicates are rejected."""
-    gold_keys = _key_set(gold, level, "gold")
-    pred_keys = _key_set(pred, level, "predicted")
-    tp = len(gold_keys & pred_keys)
-    return tp, len(pred_keys) - tp, len(gold_keys) - tp
+    gold_keys = _key_set([_full_key(pmid, rel) for pmid, rel in gold], level, "gold")
+    pred_keys = _key_set([_full_key(pmid, rel) for pmid, rel in pred], level, "predicted")
+    return _counts(gold_keys, pred_keys)
 
 
 def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -141,10 +156,8 @@ def evaluate(
 ) -> MetricsReport:
     """Score predictions against gold relations, pooled across documents."""
     by_pmid = {doc.pmid: doc for doc in gold_corpus}
-    gold_pairs: list[tuple[str, RelationAnnotation]] = [
-        (doc.pmid, rel) for doc in gold_corpus for rel in doc.relations
-    ]
-    pred_pairs: list[tuple[str, RelationAnnotation]] = []
+    gold_keys = [_full_key(doc.pmid, rel) for doc in gold_corpus for rel in doc.relations]
+    pred_keys: list[tuple] = []
     for pmid, rels in predictions.items():
         doc = by_pmid.get(pmid)
         if doc is None:
@@ -157,20 +170,17 @@ def evaluate(
                         f"predicted relation endpoint {endpoint!r} has no mention",
                         pmid=pmid,
                     )
-            pred_pairs.append((pmid, rel))
+            pred_keys.append(_full_key(pmid, rel))
 
-    levels = {
-        level: LevelMetrics.from_counts(*match_counts(gold_pairs, pred_pairs, level))
+    key_sets = {
+        level: (_key_set(gold_keys, level, "gold"), _key_set(pred_keys, level, "predicted"))
         for level in MatchLevel
     }
-    rel_types = sorted(
-        {r.relation_type for _, r in gold_pairs} | {r.relation_type for _, r in pred_pairs}
-    )
-    per_type = {}
-    for rel_type in rel_types:
-        g = [(p, r) for p, r in gold_pairs if r.relation_type == rel_type]
-        q = [(p, r) for p, r in pred_pairs if r.relation_type == rel_type]
-        per_type[rel_type] = LevelMetrics.from_counts(
-            *match_counts(g, q, MatchLevel.PAIR_TYPE)
-        )
+    levels = {level: LevelMetrics.from_counts(*_counts(*sets)) for level, sets in key_sets.items()}
+    # Per relation type: the pair+type keys grouped by their type field.
+    by_type: defaultdict[str, tuple[set, set]] = defaultdict(lambda: (set(), set()))
+    for side, keys in enumerate(key_sets[MatchLevel.PAIR_TYPE]):
+        for key in keys:
+            by_type[key[2]][side].add(key)
+    per_type = {t: LevelMetrics.from_counts(*_counts(*by_type[t])) for t in sorted(by_type)}
     return MetricsReport(levels=levels, per_relation_type=per_type)

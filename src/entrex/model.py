@@ -5,6 +5,10 @@ embeddings.  Pretraining heads predict the identifier and concept type of
 each masked mention from its averaged token representations; fine-tuning
 heads are two MLPs over the CLS representation predicting relation type
 and novelty, combined by a weighted two-term cross-entropy loss.
+
+Because the fine-tuning heads read only CLS, ``finetune_forward`` encodes
+with ``cls_only``, which computes the final block for the CLS row alone
+(see ``encode``); the logits equal those of the full encoding.
 """
 
 from __future__ import annotations
@@ -170,22 +174,23 @@ class RelationModel:
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
         return ag.add(ag.mul(ag.layer_norm(x), self.params[f"{prefix}.g"]), self.params[f"{prefix}.b"])
 
-    def _attention(self, xn: Tensor, i: int, key_bias: Tensor) -> Tensor:
+    def _attention(self, xq: Tensor, xn: Tensor, i: int, key_bias: Tensor) -> Tensor:
+        """Attention from the m query rows ``xq`` over the n rows of ``xn``: [m, d]."""
         p = self.params
-        n = xn.data.shape[0]
+        m, n = xq.data.shape[0], xn.data.shape[0]
         h, d = self.cfg.n_heads, self.cfg.d_model
         dh = d // h
-        q = _linear(xn, p[f"enc{i}.attn.wq"], p[f"enc{i}.attn.bq"])
+        q = _linear(xq, p[f"enc{i}.attn.wq"], p[f"enc{i}.attn.bq"])
         k = _linear(xn, p[f"enc{i}.attn.wk"], p[f"enc{i}.attn.bk"])
         v = _linear(xn, p[f"enc{i}.attn.wv"], p[f"enc{i}.attn.bv"])
-        q = ag.transpose(ag.reshape(q, (n, h, dh)), (1, 0, 2))  # [h, n, dh]
+        q = ag.transpose(ag.reshape(q, (m, h, dh)), (1, 0, 2))  # [h, m, dh]
         kt = ag.transpose(ag.reshape(k, (n, h, dh)), (1, 2, 0))  # [h, dh, n]
         v = ag.transpose(ag.reshape(v, (n, h, dh)), (1, 0, 2))
         scores = ag.scale(ag.matmul(q, kt), 1.0 / math.sqrt(dh))
         scores = ag.add(scores, key_bias)  # -inf-like bias on PAD keys
         weights = ag.softmax(scores, axis=-1)
-        ctx = ag.matmul(weights, v)  # [h, n, dh]
-        ctx = ag.reshape(ag.transpose(ctx, (1, 0, 2)), (n, d))
+        ctx = ag.matmul(weights, v)  # [h, m, dh]
+        ctx = ag.reshape(ag.transpose(ctx, (1, 0, 2)), (m, d))
         return _linear(ctx, p[f"enc{i}.attn.wo"], p[f"enc{i}.attn.bo"])
 
     def encode(
@@ -193,8 +198,16 @@ class RelationModel:
         token_ids,
         train: bool = False,
         rng: np.random.Generator | None = None,
+        cls_only: bool = False,
     ) -> Tensor:
-        """Hidden states [len, d_model]; PAD positions are masked as keys."""
+        """Hidden states [len, d_model]; PAD positions are masked as keys.
+
+        With ``cls_only`` the result is the CLS row alone, [1, d_model]:
+        the final block takes keys and values from every row but queries
+        from row 0 only, and its residual, dropout, FFN and the final
+        LayerNorm run on that row.  It equals row 0 of the full result;
+        in training mode dropout masks are drawn for that row only.
+        """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError(f"token_ids must be a non-empty 1-D sequence, got shape {ids.shape}")
@@ -213,7 +226,10 @@ class RelationModel:
         )
         key_bias = Tensor(np.where(ids == PAD_ID, -1e9, 0.0).astype(self.cfg.dtype))
         for i in range(self.cfg.n_layers):
-            attn = self._attention(self._layer_norm(x, f"enc{i}.ln1"), i, key_bias)
+            xn = xq = self._layer_norm(x, f"enc{i}.ln1")
+            if cls_only and i == self.cfg.n_layers - 1:
+                x, xq = ag.slice_rows(x, 0, 1), ag.slice_rows(xn, 0, 1)
+            attn = self._attention(xq, xn, i, key_bias)
             if drop > 0:
                 attn = ag.dropout(attn, drop, rng)
             x = ag.add(x, attn)
@@ -238,8 +254,7 @@ class RelationModel:
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor]:
         """Relation and novelty logits from the CLS representation."""
-        hidden = self.encode(pair_token_ids, train=train, rng=rng)
-        cls = ag.slice_rows(hidden, 0, 1)
+        cls = self.encode(pair_token_ids, train=train, rng=rng, cls_only=True)
         return self._mlp_head(cls, "relation"), self._mlp_head(cls, "novelty")
 
     def pretrain_loss(

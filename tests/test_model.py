@@ -143,6 +143,37 @@ def test_finetune_logits_match_reference_forward():
     np.testing.assert_allclose(nov.data, nov_ref[0], atol=1e-12)
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("n_pad", [0, 3])
+def test_cls_only_forward_matches_full_encoding(n_layers, n_pad):
+    """finetune_forward == heads over row 0 of the full encoding, with gradients."""
+    model, _ = _tiny_model(seed=21, n_layers=n_layers)
+    ids = np.array([0, 6, 9, 8, 7, 1] + [PAD_ID] * n_pad)
+    assert model.encode(ids, cls_only=True).data.shape == (1, 8)
+
+    def full_path():
+        cls = ag.slice_rows(model.encode(ids), 0, 1)
+        return model._mlp_head(cls, "relation"), model._mlp_head(cls, "novelty")
+
+    def run(forward):
+        rel, nov = forward()
+        finetune_loss(rel, nov, 2, 1, LossWeights()).backward()
+        grads = {}
+        for name, p in model.finetune_parameters().items():
+            assert p.grad is not None, name
+            grads[name] = p.grad
+            p.grad = None
+        return rel.data, nov.data, grads
+
+    rel, nov, grads = run(lambda: model.finetune_forward(ids))
+    rel_ref, nov_ref, grads_ref = run(full_path)
+    np.testing.assert_allclose(rel, rel_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(nov, nov_ref, rtol=0, atol=1e-12)
+    assert grads.keys() == grads_ref.keys()
+    for name in grads:
+        np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+
 def test_mention_repr_single_row_and_mean():
     rng = np.random.default_rng(8)
     hidden = Tensor(rng.standard_normal((6, 4)))
@@ -336,3 +367,37 @@ def test_state_snapshot_unchanged_by_adam_steps():
     train_step()
     for name, value in kept.items():
         np.testing.assert_array_equal(snapshot[name], value)
+
+
+def test_training_run_is_bit_identical_on_rerun():
+    """Pretrain, transfer and fine-tune with dropout and Adam, twice."""
+
+    def run():
+        model, _ = _tiny_model(seed=22, n_layers=2, dropout=0.1)
+        rng = np.random.default_rng(23)
+        init = model.state_arrays()
+        losses = []
+        state = AdamState(lr=0.01)
+        for inst in (_instance([(2, 4, 1, 0)]), _instance([(5, 7, 2, 1), (1, 2, 0, 0)], length=9)):
+            loss = model.pretrain_loss(inst, train=True, rng=rng)
+            loss.backward()
+            adam_step(model.pretrain_parameters(), state)
+            losses.append(loss.item())
+        pretrained = model.state_arrays()
+        model.load_state(init)
+        model.load_state(pretrained, transfer_only=True)
+        state = AdamState(lr=0.01)
+        for ids, rel_idx, nov_idx in (([0, 6, 7, 1], 1, 2), ([0, 8, 9, 10, 1, 2], 2, 1), ([0, 11, 1], 0, 0)):
+            rel, nov = model.finetune_forward(np.array(ids), train=True, rng=rng)
+            loss = finetune_loss(rel, nov, rel_idx, nov_idx, LossWeights())
+            loss.backward()
+            adam_step(model.finetune_parameters(), state)
+            losses.append(loss.item())
+        return losses, model.state_arrays()
+
+    losses_a, state_a = run()
+    losses_b, state_b = run()
+    assert losses_a == losses_b
+    assert state_a.keys() == state_b.keys()
+    for name in state_a:
+        np.testing.assert_array_equal(state_a[name], state_b[name], err_msg=name)
