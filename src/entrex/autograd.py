@@ -48,9 +48,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad over the recorded tape."""
         if self.data.size != 1:
@@ -263,24 +260,6 @@ def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         _accumulate(x, gx)
 
     return _make(out, (x,), backward)
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ValueError("concat needs at least one tensor")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        offset = 0
-        for t in tensors:
-            size = t.data.shape[axis]
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offset, offset + size)
-            if t.requires_grad:
-                _accumulate(t, g[tuple(index)])
-            offset += size
-
-    return _make(out, tuple(tensors), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -6,16 +6,21 @@ separated by a blank line.  A block carries a ``PMID|t|`` title line, a
 entity mentions with character offsets, and relations with novelty
 labels.  Offsets are global: they index into ``title + " " + abstract``.
 
-Parsing is strict.  Any malformed line, bad offset, or inconsistent
-annotation rejects the whole file with a :class:`CorpusError` that names
-the PMID and line number.
+Parsing is strict: any malformed line or inconsistent annotation rejects
+the whole file with a :class:`CorpusError`.  Syntax errors -- a bad
+``t``/``a`` head line, an annotation PMID that does not match its block,
+a wrong field count, a non-integer offset -- name the line number and
+the PMID.  Every document invariant is owned by :func:`validate_document`,
+whose errors name the PMID plus the offending offsets or identifier pair;
+predicted relations pass the same relation rules in
+:func:`validate_predictions`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
+from typing import Collection, Container, Iterable, Mapping, TextIO
 
 NULL_IDENTIFIER = "-"            # unnormalized mention, excluded from pairing and masking
 NO_RELATION_LABEL = "None"       # reserved label for unannotated candidate pairs
@@ -111,6 +116,31 @@ class PairCandidate:
     novelty_label: str = NO_NOVELTY_LABEL
 
 
+def check_relations(
+    pmid: str, relations: Iterable[RelationAnnotation], known: Container[str], what: str
+) -> None:
+    """The relation rules, for one document's relations (gold or predicted).
+
+    No self-relation, a novelty label in ``NOVELTY_CLASSES``, at most one
+    relation per unordered pair, and every endpoint in ``known`` (the
+    identifiers that have a mention).  ``what`` names the relations in
+    the error, e.g. ``"predicted relation"``.
+    """
+    seen_pairs: set[tuple[str, str]] = set()
+    for r in relations:
+        if r.id_a == r.id_b:
+            raise CorpusError(f"self-relation on identifier {r.id_a!r}", pmid=pmid)
+        if r.novelty not in NOVELTY_CLASSES:
+            raise CorpusError(f"unknown novelty label {r.novelty!r}", pmid=pmid)
+        key = r.pair_key()
+        if key in seen_pairs:
+            raise CorpusError(f"duplicate {what}s on pair {key}", pmid=pmid)
+        seen_pairs.add(key)
+        for endpoint in key:
+            if endpoint not in known:
+                raise CorpusError(f"{what} endpoint {endpoint!r} has no mention", pmid=pmid)
+
+
 def validate_document(doc: Document) -> None:
     """Check every document invariant; raise CorpusError on the first violation."""
     pmid = doc.pmid
@@ -124,7 +154,7 @@ def validate_document(doc: Document) -> None:
     for m in doc.mentions:
         if not (0 <= m.start < m.end <= len(text)):
             raise CorpusError(
-                f"mention offsets [{m.start},{m.end}) outside text of length {len(text)}",
+                f"mention offsets [{m.start},{m.end}) out of range for text of length {len(text)}",
                 pmid=pmid,
             )
         if text[m.start:m.end] != m.surface:
@@ -139,26 +169,28 @@ def validate_document(doc: Document) -> None:
                 pmid=pmid,
             )
         if not m.identifiers or any(not i for i in m.identifiers):
-            raise CorpusError("mention has an empty identifier", pmid=pmid)
+            raise CorpusError(f"mention at [{m.start},{m.end}) has an empty identifier", pmid=pmid)
         if m.start < prev_start:
             raise CorpusError("mentions not sorted by start offset", pmid=pmid)
         prev_start = m.start
-    known = doc.mention_identifiers()
-    seen_pairs: set[tuple[str, str]] = set()
-    for r in doc.relations:
-        if r.id_a == r.id_b:
-            raise CorpusError(f"self-relation on identifier {r.id_a!r}", pmid=pmid)
-        if r.novelty not in NOVELTY_CLASSES:
-            raise CorpusError(f"unknown novelty label {r.novelty!r}", pmid=pmid)
-        key = r.pair_key()
-        if key in seen_pairs:
-            raise CorpusError(f"duplicate relation pair {key}", pmid=pmid)
-        seen_pairs.add(key)
-        for endpoint in key:
-            if endpoint not in known:
-                raise CorpusError(
-                    f"relation endpoint {endpoint!r} has no mention", pmid=pmid
-                )
+    check_relations(pmid, doc.relations, doc.mention_identifiers(), "relation")
+
+
+def validate_predictions(
+    docs: Iterable[Document], predicted: Mapping[str, Collection[RelationAnnotation]]
+) -> None:
+    """Check predicted relations against the documents they annotate.
+
+    Every PMID in ``predicted`` must name one of ``docs``, and each
+    document's predictions must pass :func:`check_relations`, the rules
+    :func:`validate_document` applies to the document's own relations.
+    """
+    by_pmid = {d.pmid: d for d in docs}
+    for pmid, relations in predicted.items():
+        doc = by_pmid.get(pmid)
+        if doc is None:
+            raise CorpusError("prediction for unknown document", pmid=pmid)
+        check_relations(pmid, relations, doc.mention_identifiers(), "predicted relation")
 
 
 def _parse_int_offset(field: str, what: str, pmid: str, line_no: int) -> int:
@@ -168,6 +200,8 @@ def _parse_int_offset(field: str, what: str, pmid: str, line_no: int) -> int:
 
 
 def _parse_block(numbered: list[tuple[int, str]]) -> Document:
+    """Build one document from its numbered lines: syntax checks only, then
+    :func:`validate_document` for the invariants."""
     line_no, first = numbered[0]
     head = first.split("|", 2)
     if len(head) != 3 or head[1] != "t":
@@ -182,10 +216,9 @@ def _parse_block(numbered: list[tuple[int, str]]) -> Document:
     if head[0] != pmid:
         raise CorpusError(f"abstract PMID {head[0]!r} does not match title", pmid, line_no_a)
     abstract = head[2]
-    full_text = f"{title} {abstract}"
 
     mentions: list[Mention] = []
-    relations: list[tuple[int, RelationAnnotation]] = []
+    relations: list[RelationAnnotation] = []
     for line_no, line in numbered[2:]:
         fields = line.split("\t")
         if fields[0] != pmid:
@@ -194,27 +227,11 @@ def _parse_block(numbered: list[tuple[int, str]]) -> Document:
             start = _parse_int_offset(fields[1], "start offset", pmid, line_no)
             end = _parse_int_offset(fields[2], "end offset", pmid, line_no)
             surface, entity_type, id_field = fields[3], fields[4], fields[5]
-            if not (start < end <= len(full_text)):
-                raise CorpusError(
-                    f"offsets [{start},{end}) out of range for text of length {len(full_text)}",
-                    pmid, line_no,
-                )
-            if full_text[start:end] != surface:
-                raise CorpusError(
-                    f"surface {surface!r} does not match text {full_text[start:end]!r}",
-                    pmid, line_no,
-                )
             identifiers = tuple(i.strip() for i in id_field.split(","))
-            if any(not i for i in identifiers):
-                raise CorpusError(f"empty identifier in {id_field!r}", pmid, line_no)
             mentions.append(Mention(start, end, surface, entity_type, identifiers))
         elif len(fields) == 5:
             _, relation_type, id_a, id_b, novelty = fields
-            if novelty not in NOVELTY_CLASSES:
-                raise CorpusError(f"unknown novelty label {novelty!r}", pmid, line_no)
-            if id_a == id_b:
-                raise CorpusError(f"self-relation on identifier {id_a!r}", pmid, line_no)
-            relations.append((line_no, RelationAnnotation(id_a, id_b, relation_type, novelty)))
+            relations.append(RelationAnnotation(id_a, id_b, relation_type, novelty))
         else:
             raise CorpusError(
                 f"annotation line has {len(fields)} fields (expected 6 for an entity, 5 for a relation)",
@@ -222,24 +239,7 @@ def _parse_block(numbered: list[tuple[int, str]]) -> Document:
             )
 
     mentions.sort(key=lambda m: (m.start, m.end))
-    known = {i for m in mentions for i in m.identifiers}
-    seen_pairs: set[tuple[str, str]] = set()
-    for line_no, r in relations:
-        key = r.pair_key()
-        if key in seen_pairs:
-            raise CorpusError(f"duplicate relation pair {key}", pmid, line_no)
-        seen_pairs.add(key)
-        for endpoint in key:
-            if endpoint not in known:
-                raise CorpusError(f"relation endpoint {endpoint!r} has no mention", pmid, line_no)
-
-    doc = Document(
-        pmid=pmid,
-        title=title,
-        abstract=abstract,
-        mentions=tuple(mentions),
-        relations=tuple(r for _, r in relations),
-    )
+    doc = Document(pmid, title, abstract, tuple(mentions), tuple(relations))
     validate_document(doc)
     return doc
 
@@ -300,21 +300,22 @@ def candidate_pairs(
 
 def write_pubtator(
     docs: Iterable[Document],
-    predicted: Mapping[str, Iterable[RelationAnnotation]] | None = None,
+    predicted: Mapping[str, Collection[RelationAnnotation]] | None = None,
 ) -> str:
     """Serialize documents back to PubTator text.
 
     With ``predicted=None`` the documents' own relations are written, so
     ``parse_pubtator(write_pubtator(docs))`` round-trips.  Otherwise the
     gold relation lines are replaced by ``predicted[pmid]`` (documents
-    absent from the map get no relation lines).
+    absent from the map get no relation lines), after
+    :func:`validate_predictions` has checked them, so the text written
+    always parses back.
     """
     docs = list(docs)
-    if predicted is not None:
-        known_pmids = {d.pmid for d in docs}
-        for pmid in predicted:
-            if pmid not in known_pmids:
-                raise CorpusError("prediction for unknown document", pmid=pmid)
+    if predicted is None:
+        predicted = {doc.pmid: doc.relations for doc in docs}
+    else:
+        validate_predictions(docs, predicted)
     blocks: list[str] = []
     for doc in docs:
         validate_document(doc)
@@ -324,20 +325,7 @@ def write_pubtator(
                 f"{doc.pmid}\t{m.start}\t{m.end}\t{m.surface}\t{m.entity_type}\t"
                 + ",".join(m.identifiers)
             )
-        if predicted is None:
-            relations: Iterable[RelationAnnotation] = doc.relations
-        else:
-            relations = predicted.get(doc.pmid, ())
-        known = doc.mention_identifiers()
-        for r in relations:
-            for endpoint in (r.id_a, r.id_b):
-                if endpoint not in known:
-                    raise CorpusError(
-                        f"predicted relation endpoint {endpoint!r} has no mention",
-                        pmid=doc.pmid,
-                    )
-            if r.novelty not in NOVELTY_CLASSES:
-                raise CorpusError(f"unknown novelty label {r.novelty!r}", pmid=doc.pmid)
+        for r in predicted.get(doc.pmid, ()):
             lines.append(f"{doc.pmid}\t{r.relation_type}\t{r.id_a}\t{r.id_b}\t{r.novelty}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

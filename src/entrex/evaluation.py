@@ -12,9 +12,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
-from .corpus import CorpusError, Document, RelationAnnotation
+from .corpus import Document, RelationAnnotation, check_relations, validate_predictions
 
 
 class MatchLevel(Enum):
@@ -52,14 +52,6 @@ def match_key(pmid: str, rel: RelationAnnotation, level: MatchLevel) -> tuple:
     return _PROJECTIONS[level](_full_key(pmid, rel))
 
 
-def _key_set(full_keys: Sequence[tuple], level: MatchLevel, side: str) -> set:
-    keys = list(map(_PROJECTIONS[level], full_keys))
-    unique = set(keys)
-    if len(unique) != len(keys):
-        raise ValueError(f"duplicate {side} relations under the {level.value} key")
-    return unique
-
-
 def _counts(gold_keys: set, pred_keys: set) -> tuple[int, int, int]:
     tp = len(gold_keys & pred_keys)
     return tp, len(pred_keys) - tp, len(gold_keys) - tp
@@ -70,10 +62,21 @@ def match_counts(
     pred: Sequence[tuple[str, RelationAnnotation]],
     level: MatchLevel,
 ) -> tuple[int, int, int]:
-    """(TP, FP, FN) under the level's match key; duplicates are rejected."""
-    gold_keys = _key_set([_full_key(pmid, rel) for pmid, rel in gold], level, "gold")
-    pred_keys = _key_set([_full_key(pmid, rel) for pmid, rel in pred], level, "predicted")
-    return _counts(gold_keys, pred_keys)
+    """(TP, FP, FN) under the level's match key.
+
+    Each side's relations must pass :func:`~entrex.corpus.check_relations`
+    per PMID, so no two of them share a pair, hence a key at any level.
+    With no document at hand, endpoints are not looked up.
+    """
+    key_sets = []
+    for what, pairs in (("gold relation", gold), ("predicted relation", pred)):
+        by_pmid: defaultdict[str, list[RelationAnnotation]] = defaultdict(list)
+        for pmid, rel in pairs:
+            by_pmid[pmid].append(rel)
+        for pmid, rels in by_pmid.items():
+            check_relations(pmid, rels, {i for r in rels for i in r.pair_key()}, what)
+        key_sets.append({match_key(pmid, rel, level) for pmid, rel in pairs})
+    return _counts(*key_sets)
 
 
 def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -152,28 +155,21 @@ class MetricsReport:
 
 def evaluate(
     gold_corpus: Sequence[Document],
-    predictions: Mapping[str, Iterable[RelationAnnotation]],
+    predictions: Mapping[str, Collection[RelationAnnotation]],
 ) -> MetricsReport:
-    """Score predictions against gold relations, pooled across documents."""
-    by_pmid = {doc.pmid: doc for doc in gold_corpus}
-    gold_keys = [_full_key(doc.pmid, rel) for doc in gold_corpus for rel in doc.relations]
-    pred_keys: list[tuple] = []
-    for pmid, rels in predictions.items():
-        doc = by_pmid.get(pmid)
-        if doc is None:
-            raise CorpusError("prediction for unknown document", pmid=pmid)
-        known = doc.mention_identifiers()
-        for rel in rels:
-            for endpoint in (rel.id_a, rel.id_b):
-                if endpoint not in known:
-                    raise CorpusError(
-                        f"predicted relation endpoint {endpoint!r} has no mention",
-                        pmid=pmid,
-                    )
-            pred_keys.append(_full_key(pmid, rel))
+    """Score predictions against gold relations, pooled across documents.
 
+    The predictions are checked by :func:`~entrex.corpus.validate_predictions`,
+    and each gold document's relations by the same relation rules, so every
+    relation is one pair of its document and keys are unique at every level.
+    """
+    validate_predictions(gold_corpus, predictions)
+    for doc in gold_corpus:
+        check_relations(doc.pmid, doc.relations, doc.mention_identifiers(), "gold relation")
+    gold_keys = [_full_key(doc.pmid, rel) for doc in gold_corpus for rel in doc.relations]
+    pred_keys = [_full_key(pmid, rel) for pmid, rels in predictions.items() for rel in rels]
     key_sets = {
-        level: (_key_set(gold_keys, level, "gold"), _key_set(pred_keys, level, "predicted"))
+        level: (set(map(_PROJECTIONS[level], gold_keys)), set(map(_PROJECTIONS[level], pred_keys)))
         for level in MatchLevel
     }
     levels = {level: LevelMetrics.from_counts(*_counts(*sets)) for level, sets in key_sets.items()}

@@ -36,10 +36,6 @@ class MaskingConfig:
     seed: int = 0
     min_unmasked_identifiers: int = 1
     min_masked_identifiers: int = 1
-    # Alternative reading of the no-full-masking rule: never mask both
-    # endpoints of an annotated relation in the same instance.  Off by
-    # default; the document-level guarantee above always holds.
-    protect_pair_endpoints: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
@@ -77,13 +73,6 @@ def select_masked_identifiers(
             f"document {doc.pmid} has {len(identifiers)} groundable identifiers; need >= 2"
         )
     selected = [i for i in identifiers if rng.random() < cfg.threshold]
-    if cfg.protect_pair_endpoints:
-        chosen = set(selected)
-        for r in doc.relations:
-            a, b = r.pair_key()
-            if a in chosen and b in chosen:
-                chosen.remove(a if rng.random() < 0.5 else b)
-        selected = [i for i in identifiers if i in chosen]
     max_selected = len(identifiers) - cfg.min_unmasked_identifiers
     while len(selected) > max_selected:
         selected.pop(int(rng.integers(len(selected))))
@@ -161,37 +150,39 @@ def build_pretraining_instances(
 
 
 def render_mask_preview(
+    instances: Sequence[MaskedInstance],
     corpus: Sequence[Document],
     vocab: Vocabulary,
-    cfg: MaskingConfig,
-    epoch_seed: int = 0,
 ) -> str:
-    """Line-oriented preview: bracketed masked spans plus a target table.
+    """Line-oriented preview of framed pretraining instances, as trained.
 
-    Per document: a ``pmid:`` line, a ``masked:`` line with the selected
-    identifiers, a ``text:`` line with every masked mention bracketed,
-    then one tab-separated ``target`` line per masked mention
-    (surface, identifier, type).  Documents are separated by blank lines;
-    ineligible documents get a single ``skip`` line.
+    Per document: a ``pmid:`` line, a ``masked:`` line with the target
+    identifiers, a ``text:`` line with every target's character span
+    bracketed, then one tab-separated ``target`` line per masked target
+    (surface, identifier, type), in the instance's order.  Documents are
+    separated by blank lines; a document with no instance gets a single
+    ``skip`` line.
     """
+    by_pmid = {inst.pmid: inst for inst in instances}
     blocks: list[str] = []
     for doc in corpus:
-        if len(doc.groundable_identifiers()) < 2:
-            blocks.append(f"pmid: {doc.pmid}\nskip: fewer than 2 groundable identifiers")
+        inst = by_pmid.get(doc.pmid)
+        if inst is None:
+            blocks.append(f"pmid: {doc.pmid}\nskip: no pretraining instance")
             continue
-        rng = _document_rng(cfg.seed, epoch_seed, doc.pmid)
-        selected = select_masked_identifiers(doc, rng, cfg)
-        masked = [m for m in doc.mentions if set(m.identifiers) & selected]
+        spans = tokenize_document(doc, vocab).spans
+        # Framed token i is document token i - 1: CLS comes first.
+        chars = [(spans[t.token_start - 1][0], spans[t.token_end - 2][1]) for t in inst.masked_targets]
+        identifiers = [vocab.identifier_labels[t.identifier_index] for t in inst.masked_targets]
         text = doc.full_text
-        for m in sorted(masked, key=lambda m: m.start, reverse=True):
-            text = f"{text[:m.start]}[{text[m.start:m.end]}]{text[m.end:]}"
+        for start, end in sorted(chars, reverse=True):
+            text = f"{text[:start]}[{text[start:end]}]{text[end:]}"
         lines = [
             f"pmid: {doc.pmid}",
-            f"masked: {' '.join(sorted(selected))}",
+            f"masked: {' '.join(sorted(set(identifiers)))}",
             f"text: {text}",
         ]
-        for m in masked:
-            ident = sorted(set(m.identifiers) & selected)[0]
-            lines.append(f"target\t{m.surface}\t{ident}\t{m.entity_type}")
+        for (start, end), ident, t in zip(chars, identifiers, inst.masked_targets):
+            lines.append(f"target\t{doc.full_text[start:end]}\t{ident}\t{vocab.type_labels[t.type_index]}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

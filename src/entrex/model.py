@@ -174,7 +174,7 @@ class RelationModel:
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
         return ag.add(ag.mul(ag.layer_norm(x), self.params[f"{prefix}.g"]), self.params[f"{prefix}.b"])
 
-    def _attention(self, xq: Tensor, xn: Tensor, i: int, key_bias: Tensor) -> Tensor:
+    def _attention(self, xq: Tensor, xn: Tensor, i: int) -> Tensor:
         """Attention from the m query rows ``xq`` over the n rows of ``xn``: [m, d]."""
         p = self.params
         m, n = xq.data.shape[0], xn.data.shape[0]
@@ -187,7 +187,6 @@ class RelationModel:
         kt = ag.transpose(ag.reshape(k, (n, h, dh)), (1, 2, 0))  # [h, dh, n]
         v = ag.transpose(ag.reshape(v, (n, h, dh)), (1, 0, 2))
         scores = ag.scale(ag.matmul(q, kt), 1.0 / math.sqrt(dh))
-        scores = ag.add(scores, key_bias)  # -inf-like bias on PAD keys
         weights = ag.softmax(scores, axis=-1)
         ctx = ag.matmul(weights, v)  # [h, m, dh]
         ctx = ag.reshape(ag.transpose(ctx, (1, 0, 2)), (m, d))
@@ -200,7 +199,10 @@ class RelationModel:
         rng: np.random.Generator | None = None,
         cls_only: bool = False,
     ) -> Tensor:
-        """Hidden states [len, d_model]; PAD positions are masked as keys.
+        """Hidden states [len, d_model] of one unpadded sequence.
+
+        Every position attends to every other, so ``PAD_ID`` is rejected:
+        the batch size is 1 and nothing pads a sequence.
 
         With ``cls_only`` the result is the CLS row alone, [1, d_model]:
         the final block takes keys and values from every row but queries
@@ -215,6 +217,8 @@ class RelationModel:
             raise ValueError(f"sequence length {ids.size} exceeds max_len {self.cfg.max_len}")
         if ids.min() < 0 or ids.max() >= self.n_tokens:
             raise ValueError(f"token id out of range [0,{self.n_tokens})")
+        if (ids == PAD_ID).any():
+            raise ValueError("token_ids contain PAD_ID; encode takes unpadded sequences")
         p = self.params
         drop = self.cfg.dropout if train else 0.0
         if drop > 0 and rng is None:
@@ -224,12 +228,11 @@ class RelationModel:
             ag.embedding_lookup(p["emb.token"], ids),
             ag.slice_rows(p["emb.pos"], 0, ids.size),
         )
-        key_bias = Tensor(np.where(ids == PAD_ID, -1e9, 0.0).astype(self.cfg.dtype))
         for i in range(self.cfg.n_layers):
             xn = xq = self._layer_norm(x, f"enc{i}.ln1")
             if cls_only and i == self.cfg.n_layers - 1:
                 x, xq = ag.slice_rows(x, 0, 1), ag.slice_rows(xn, 0, 1)
-            attn = self._attention(xq, xn, i, key_bias)
+            attn = self._attention(xq, xn, i)
             if drop > 0:
                 attn = ag.dropout(attn, drop, rng)
             x = ag.add(x, attn)

@@ -151,14 +151,6 @@ class TestGradients:
             x = _rand(rng, 3, 5)
             check_gradients(lambda: _project(ag.mean(x, **kwargs), _rng(99)), {"x": x})
 
-    def test_concat(self):
-        rng = _rng(22)
-        a, b, c = _rand(rng, 2, 3), _rand(rng, 1, 3), _rand(rng, 4, 3)
-        check_gradients(
-            lambda: _project(ag.concat([a, b, c], axis=0), _rng(99)),
-            {"a": a, "b": b, "c": c},
-        )
-
     def test_dropout_fixed_mask(self):
         rng = _rng(23)
         x = _rand(rng, 5, 5)
@@ -225,10 +217,9 @@ class TestTapeMechanics:
             lambda x, y: [ag.reshape(x, (3, 2))],
             lambda x, y: [ag.transpose(x, (1, 0))],
             lambda x, y: [ag.mean(x, axis=0)],
-            lambda x, y: [ag.concat([x, y], axis=0)],
             lambda x, y: [ag.reshape(ag.transpose(ag.add(x, x), (1, 0)), (6,))],
         ],
-        ids=["add", "reshape", "transpose", "mean", "concat", "chain"],
+        ids=["add", "reshape", "transpose", "mean", "chain"],
     )
     def test_pass_through_grads_own_their_memory(self, build):
         rng = _rng(32)
@@ -245,7 +236,7 @@ class TestTapeMechanics:
         x = _rand(rng, 2, 3)
         consts = [Tensor(rng.standard_normal(s)) for s in ((2, 3), (3,), (3, 4), (1, 3))]
         y = ag.matmul(ag.add(ag.add(x, consts[0]), consts[1]), consts[2])
-        z = ag.concat([ag.mul(x, consts[3]), consts[3]], axis=0)
+        z = ag.mul(x, consts[3])
         ag.add(ag.mean(y), ag.mean(z)).backward()
         assert x.grad is not None
         assert all(c.grad is None for c in consts)

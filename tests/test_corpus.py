@@ -1,9 +1,12 @@
 """PubTator parser, candidate generation, and round-trip tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrex.corpus import (
     CorpusError,
@@ -214,6 +217,37 @@ def test_write_unknown_identifier_rejected():
     bad = {"42": [RelationAnnotation("C1", "NOPE", "Bind", "No")]}
     with pytest.raises(CorpusError):
         write_pubtator(docs, predicted=bad)
+
+
+@pytest.mark.parametrize(
+    "relations, fragment",
+    [
+        ([("C1", "G1", "Bind", "No"), ("G1", "C1", "Bind", "Novel")], "duplicate predicted relations"),
+        ([("C1", "C1", "Bind", "No")], "self-relation"),
+        ([("C1", "G1", "Bind", "Maybe")], "novelty"),
+    ],
+)
+def test_write_rejects_predictions_that_would_not_parse(relations, fragment):
+    docs = parse_pubtator(SIMPLE_BLOCK)
+    with pytest.raises(CorpusError, match=fragment) as exc:
+        write_pubtator(docs, {"42": [RelationAnnotation(*r) for r in relations]})
+    assert exc.value.pmid == "42"
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_written_predictions_parse_back(seed, data):
+    """Any relation set over candidate pairs is written and parsed back exactly."""
+    doc = random_document(np.random.default_rng(seed), "7", min_identifiers=1, max_identifiers=8)
+    pairs = [(p.src_id, p.tgt_id) for p in candidate_pairs(doc)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    predicted = []
+    for src, tgt in chosen:
+        ends = (tgt, src) if data.draw(st.booleans()) else (src, tgt)
+        rel_type = data.draw(st.sampled_from(["Bind", "Association", "Positive_Correlation"]))
+        predicted.append(RelationAnnotation(*ends, rel_type, data.draw(st.sampled_from(["No", "Novel"]))))
+    text = write_pubtator([doc], {doc.pmid: predicted})
+    assert parse_pubtator(text) == [dataclasses.replace(doc, relations=tuple(predicted))]
 
 
 def test_write_roundtrip_randomized():

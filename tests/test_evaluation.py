@@ -101,6 +101,16 @@ def test_predicted_endpoint_without_mention_rejected():
     assert err.value.pmid == "1"
 
 
+@pytest.mark.parametrize(
+    "relation, fragment",
+    [(("C1", "G1", "Bind", "Maybe"), "unknown novelty label 'Maybe'"), (("C1", "C1", "Bind", "No"), "self-relation")],
+)
+def test_invalid_predicted_relation_rejected(relation, fragment):
+    with pytest.raises(CorpusError, match=fragment) as err:
+        evaluate(GOLD, {"1": _rels(relation)})
+    assert err.value.pmid == "1"
+
+
 def _reference_per_type(gold_pairs, pred_pairs):
     """Per-type counts by filtering both sides on the type and re-keying."""
     types = sorted({r.relation_type for _, r in gold_pairs} | {r.relation_type for _, r in pred_pairs})

@@ -62,7 +62,7 @@ def test_loss_weights_validation():
 def test_encode_output_shape():
     model, _ = _tiny_model()
     for n in (1, 5, 16):
-        hidden = model.encode(np.arange(n) % 10)
+        hidden = model.encode(np.arange(n) % 10 + 3)  # ids 3..12: no PAD
         assert hidden.data.shape == (n, 8)
 
 
@@ -74,12 +74,13 @@ def test_encode_rejects_bad_input():
         model.encode(np.array([10_000]))
 
 
-def test_pad_suffix_does_not_change_other_positions():
+def test_encode_rejects_pad():
     model, _ = _tiny_model()
-    ids = np.array([0, 6, 7, 8, 1])
-    base = model.encode(ids).data
-    padded = model.encode(np.concatenate([ids, [PAD_ID] * 4])).data
-    np.testing.assert_allclose(padded[: len(ids)], base, atol=1e-12)
+    for ids in ([0, 6, 7, 8, 1, PAD_ID, PAD_ID], [PAD_ID], [0, PAD_ID, 7, 1]):
+        with pytest.raises(ValueError, match="PAD_ID"):
+            model.encode(np.array(ids))
+        with pytest.raises(ValueError, match="PAD_ID"):
+            model.finetune_forward(np.array(ids))
 
 
 def _reference_encode(model, ids):
@@ -99,13 +100,12 @@ def _reference_encode(model, ids):
     n = len(ids)
     h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
     x = P["emb.token"][ids] + P["emb.pos"][:n]
-    bias = np.where(np.asarray(ids) == PAD_ID, -1e9, 0.0)
     for i in range(cfg.n_layers):
         xn = ln(x, P[f"enc{i}.ln1.g"], P[f"enc{i}.ln1.b"])
         q = (xn @ P[f"enc{i}.attn.wq"] + P[f"enc{i}.attn.bq"]).reshape(n, h, dh).transpose(1, 0, 2)
         k = (xn @ P[f"enc{i}.attn.wk"] + P[f"enc{i}.attn.bk"]).reshape(n, h, dh).transpose(1, 0, 2)
         v = (xn @ P[f"enc{i}.attn.wv"] + P[f"enc{i}.attn.bv"]).reshape(n, h, dh).transpose(1, 0, 2)
-        scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh) + bias
+        scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh)
         e = np.exp(scores - scores.max(-1, keepdims=True))
         w = e / e.sum(-1, keepdims=True)
         ctx = (w @ v).transpose(1, 0, 2).reshape(n, cfg.d_model)
@@ -118,7 +118,7 @@ def _reference_encode(model, ids):
 
 def test_encoder_matches_reference_forward():
     model, _ = _tiny_model(seed=3)
-    ids = np.array([0, 7, 9, 11, 2, 1])
+    ids = np.array([0, 7, 9, 11, 10, 1])
     got = model.encode(ids).data
     np.testing.assert_allclose(got, _reference_encode(model, ids), atol=1e-12)
 
@@ -144,11 +144,10 @@ def test_finetune_logits_match_reference_forward():
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
-@pytest.mark.parametrize("n_pad", [0, 3])
-def test_cls_only_forward_matches_full_encoding(n_layers, n_pad):
+def test_cls_only_forward_matches_full_encoding(n_layers):
     """finetune_forward == heads over row 0 of the full encoding, with gradients."""
     model, _ = _tiny_model(seed=21, n_layers=n_layers)
-    ids = np.array([0, 6, 9, 8, 7, 1] + [PAD_ID] * n_pad)
+    ids = np.array([0, 6, 9, 8, 7, 1])
     assert model.encode(ids, cls_only=True).data.shape == (1, 8)
 
     def full_path():
@@ -387,7 +386,7 @@ def test_training_run_is_bit_identical_on_rerun():
         model.load_state(init)
         model.load_state(pretrained, transfer_only=True)
         state = AdamState(lr=0.01)
-        for ids, rel_idx, nov_idx in (([0, 6, 7, 1], 1, 2), ([0, 8, 9, 10, 1, 2], 2, 1), ([0, 11, 1], 0, 0)):
+        for ids, rel_idx, nov_idx in (([0, 6, 7, 1], 1, 2), ([0, 8, 9, 10, 12, 1], 2, 1), ([0, 11, 1], 0, 0)):
             rel, nov = model.finetune_forward(np.array(ids), train=True, rng=rng)
             loss = finetune_loss(rel, nov, rel_idx, nov_idx, LossWeights())
             loss.backward()
