@@ -106,7 +106,8 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise NumericsError("non-finite value in forward pass")
+        op = backward_fn.__qualname__.split(".", 1)[0]
+        raise NumericsError(f"non-finite value in the forward pass of {op}")
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -308,31 +309,31 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log softmax probability of the target class, log-sum-exp stable."""
-    if logits.data.ndim != 1 or logits.data.shape[0] < 2:
-        raise ValueError(f"cross_entropy needs a 1-D logit vector of length >= 2, got {logits.data.shape}")
-    k = logits.data.shape[0]
-    if not 0 <= target < k:
-        raise ValueError(f"target {target} out of range [0,{k})")
-    m = logits.data.max()
-    e = np.exp(logits.data - m)
-    z = e.sum()
-    loss = np.asarray(m + np.log(z) - logits.data[target], dtype=logits.data.dtype)
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean over rows of the negative log softmax probability of each row's target.
+
+    ``logits`` is one row ``[k]`` with an int target or ``[m, k]`` with
+    ``[m]`` int targets, ``k >= 2``; log-sum-exp stable.  This is the one
+    place that checks a class index against its label count.
+    """
+    x = logits.data
+    t = np.asarray(targets)
+    if x.ndim not in (1, 2) or x.shape[0] == 0 or x.shape[-1] < 2:
+        raise ValueError(f"cross_entropy needs [k] or [m, k] logits with m >= 1, k >= 2, got {x.shape}")
+    if t.dtype.kind not in "iu" or t.shape != x.shape[:-1]:
+        raise ValueError(f"targets (shape {t.shape}, dtype {t.dtype}) do not match logits {x.shape}")
+    k = x.shape[-1]
+    if any(not 0 <= i < k for i in t.flat):
+        raise ValueError(f"target out of range [0,{k}): [{t.min()},{t.max()}]")
+    pick = t if x.ndim == 1 else (np.arange(t.size), t)  # each row's target logit
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=-1, keepdims=True)
+    loss = ((m + np.log(z))[..., 0] - x[pick]).sum() / t.size
 
     def backward(g):
         p = e / z
-        p[target] -= 1.0
-        _accumulate(logits, g * p, owned=True)
+        p[pick] -= 1.0
+        _accumulate(logits, p * (g / t.size), owned=True)
 
-    return _make(loss, (logits,), backward)
-
-
-def add_n(tensors: list[Tensor]) -> Tensor:
-    """Sum a non-empty list of same-shape tensors."""
-    if not tensors:
-        raise ValueError("add_n needs at least one tensor")
-    out = tensors[0]
-    for t in tensors[1:]:
-        out = add(out, t)
-    return out
+    return _make(np.asarray(loss), (logits,), backward)

@@ -116,18 +116,27 @@ class PairCandidate:
     novelty_label: str = NO_NOVELTY_LABEL
 
 
+def _breaks(value: str, tab: bool = True) -> bool:
+    """True if written ``value`` would split its line (at any break that
+    ``str.splitlines`` splits on) or, with ``tab``, its field."""
+    return (tab and "\t" in value) or "".join(value.splitlines()) != value
+
+
 def check_relations(
     pmid: str, relations: Iterable[RelationAnnotation], known: Container[str], what: str
 ) -> None:
     """The relation rules, for one document's relations (gold or predicted).
 
-    No self-relation, a novelty label in ``NOVELTY_CLASSES``, at most one
-    relation per unordered pair, and every endpoint in ``known`` (the
-    identifiers that have a mention).  ``what`` names the relations in
-    the error, e.g. ``"predicted relation"``.
+    No self-relation, no tab or line break in the relation type, a
+    novelty label in ``NOVELTY_CLASSES``, at most one relation per
+    unordered pair, and every endpoint in ``known`` (the identifiers that
+    have a mention).  ``what`` names the relations in the error, e.g.
+    ``"predicted relation"``.
     """
     seen_pairs: set[tuple[str, str]] = set()
     for r in relations:
+        if _breaks(r.relation_type):
+            raise CorpusError(f"{what} type {r.relation_type!r} holds a tab or line break", pmid=pmid)
         if r.id_a == r.id_b:
             raise CorpusError(f"self-relation on identifier {r.id_a!r}", pmid=pmid)
         if r.novelty not in NOVELTY_CLASSES:
@@ -142,11 +151,15 @@ def check_relations(
 
 
 def validate_document(doc: Document) -> None:
-    """Check every document invariant; raise CorpusError on the first violation."""
+    """Check every document invariant; raise CorpusError on the first violation.
+
+    These include that every field is written as one field and read back
+    unchanged, so ``parse_pubtator(write_pubtator(docs))`` round-trips.
+    """
     pmid = doc.pmid
-    if not pmid or any(c in pmid for c in "|\t\n"):
+    if not pmid or "|" in pmid or _breaks(pmid):
         raise CorpusError(f"invalid PMID {pmid!r}", pmid=pmid)
-    if "\n" in doc.title or "\n" in doc.abstract:
+    if _breaks(doc.title, tab=False) or _breaks(doc.abstract, tab=False):
         raise CorpusError("title/abstract must be single lines", pmid=pmid)
     text = doc.full_text
     boundary = len(doc.title)  # index of the separator space
@@ -168,12 +181,22 @@ def validate_document(doc: Document) -> None:
                 f"mention [{m.start},{m.end}) crosses the title/abstract boundary",
                 pmid=pmid,
             )
+        if "\t" in m.surface:  # a span of the text, which holds no line break
+            raise CorpusError(f"mention surface {m.surface!r} at [{m.start},{m.end}) holds a tab", pmid=pmid)
         if not m.identifiers or any(not i for i in m.identifiers):
             raise CorpusError(f"mention at [{m.start},{m.end}) has an empty identifier", pmid=pmid)
         if m.start < prev_start:
             raise CorpusError("mentions not sorted by start offset", pmid=pmid)
         prev_start = m.start
-    check_relations(pmid, doc.relations, doc.mention_identifiers(), "relation")
+    # Each distinct value once: documents repeat types and identifiers.
+    for entity_type in {m.entity_type for m in doc.mentions}:
+        if _breaks(entity_type):
+            raise CorpusError(f"entity type {entity_type!r} holds a tab or line break", pmid=pmid)
+    identifiers = doc.mention_identifiers()
+    for i in identifiers:
+        if _breaks(i) or "," in i or i != i.strip():
+            raise CorpusError(f"identifier {i!r} holds a tab, line break or comma, or surrounding space", pmid=pmid)
+    check_relations(pmid, doc.relations, identifiers, "relation")
 
 
 def validate_predictions(

@@ -23,16 +23,6 @@ class MatchLevel(Enum):
     PAIR_NOVELTY = "pair+novelty"
     PAIR_TYPE_NOVELTY = "pair+type+novelty"
 
-    @classmethod
-    def from_string(cls, value: str) -> "MatchLevel":
-        for level in cls:
-            if level.value == value:
-                return level
-        raise ValueError(
-            f"unknown match level {value!r}; expected one of "
-            f"{[lvl.value for lvl in cls]}"
-        )
-
 
 # Which fields of the full key (pmid, pair_key, relation_type, novelty)
 # each level matches on.
@@ -132,25 +122,6 @@ class MetricsReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    def render_table(self) -> str:
-        """Terminal table: one row per level, Precision/Recall/F1 columns."""
-        header = f"{'level':<22} {'TP':>5} {'FP':>5} {'FN':>5} {'Precision':>10} {'Recall':>10} {'F1':>10}"
-        lines = [header, "-" * len(header)]
-        for level in MatchLevel:
-            m = self.levels[level]
-            lines.append(
-                f"{level.value:<22} {m.tp:>5} {m.fp:>5} {m.fn:>5} "
-                f"{m.precision:>10.4f} {m.recall:>10.4f} {m.f1:>10.4f}"
-            )
-        if self.per_relation_type:
-            lines.append("")
-            lines.append(f"{'relation type (pair+type)':<28}{'Precision':>10} {'Recall':>10} {'F1':>10}")
-            for rel_type, m in sorted(self.per_relation_type.items()):
-                lines.append(
-                    f"{rel_type:<28}{m.precision:>10.4f} {m.recall:>10.4f} {m.f1:>10.4f}"
-                )
-        return "\n".join(lines) + "\n"
 
 
 def evaluate(

@@ -88,7 +88,11 @@ def apply_entity_mask(
     selected: set[str],
     vocab: Vocabulary,
 ) -> MaskedInstance:
-    """Mask every mention of every selected identifier; emit per-mention targets."""
+    """Mask every mention of every selected identifier; emit per-mention targets.
+
+    A composite mention (several identifiers) has one target: the
+    lexicographically first of its selected identifiers (``hit[0]``).
+    """
     known = doc.mention_identifiers()
     missing = selected - known
     if missing:
@@ -141,10 +145,14 @@ def build_pretraining_instances(
         rng = _document_rng(cfg.seed, epoch_seed, doc.pmid)
         selected = select_masked_identifiers(doc, rng, cfg)
         tok = tokenize_document(doc, vocab)
-        inst = frame_instance(apply_entity_mask(tok, doc, selected, vocab), max_len)
-        if not inst.masked_targets:
+        masked = apply_entity_mask(tok, doc, selected, vocab)
+        inst = frame_instance(masked, max_len)
+        kept, dropped = len(inst.masked_targets), len(masked.masked_targets) - len(inst.masked_targets)
+        if not kept:
             log.warning("masking skip pmid=%s reason=targets-truncated-away", doc.pmid)
             continue
+        if dropped:
+            log.warning("masking truncate pmid=%s dropped=%d kept=%d", doc.pmid, dropped, kept)
         instances.append(inst)
     return instances
 

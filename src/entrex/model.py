@@ -2,9 +2,10 @@
 
 The encoder is pre-norm multi-head self-attention with learned positional
 embeddings.  Pretraining heads predict the identifier and concept type of
-each masked mention from its averaged token representations; fine-tuning
-heads are two MLPs over the CLS representation predicting relation type
-and novelty, combined by a weighted two-term cross-entropy loss.
+each masked mention from its averaged token representations, all
+mentions at once; fine-tuning heads are two MLPs over the CLS
+representation predicting relation type and novelty, combined by a
+weighted two-term cross-entropy loss.
 
 Because the fine-tuning heads read only CLS, ``finetune_forward`` encodes
 with ``cls_only``, which computes the final block for the CLS row alone
@@ -14,7 +15,7 @@ with ``cls_only``, which computes the final block for the CLS row alone
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,16 +56,7 @@ class EncoderConfig:
         return np.dtype(_PRECISIONS[self.precision])
 
     def to_json_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "ffn_dim": self.ffn_dim,
-            "max_len": self.max_len,
-            "dropout": self.dropout,
-            "activation": self.activation,
-            "precision": self.precision,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -266,30 +258,33 @@ class RelationModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Mean over masked mentions of identifier CE + type CE."""
-        if not instance.masked_targets:
+        """Mean over masked mentions of identifier CE + type CE.
+
+        Row j of the constant segment-mean matrix ``seg`` [m, n] averages
+        target j's token span, so ``seg @ hidden`` holds the m mention
+        representations; each head is then one linear layer and one
+        row-wise cross-entropy, and the tape length does not depend on m.
+        """
+        targets = instance.masked_targets
+        if not targets:
             raise ValueError(f"instance {instance.pmid} has no masked targets")
+        n = len(instance.token_ids)
+        seg = np.zeros((len(targets), n), dtype=self.cfg.dtype)
+        for j, t in enumerate(targets):
+            if not 0 <= t.token_start < t.token_end <= n:
+                raise ValueError(
+                    f"instance {instance.pmid}: target token span [{t.token_start},{t.token_end}) "
+                    f"invalid for a sequence of length {n}"
+                )
+            seg[j, t.token_start:t.token_end] = 1.0 / (t.token_end - t.token_start)
         p = self.params
-        hidden = self.encode(instance.token_ids, train=train, rng=rng)
-        per_mention = []
-        for t in instance.masked_targets:
-            if not 0 <= t.identifier_index < self.n_identifiers:
-                raise ValueError(f"identifier index {t.identifier_index} out of range")
-            if not 0 <= t.type_index < self.n_types:
-                raise ValueError(f"type index {t.type_index} out of range")
-            repr_ = mention_repr(hidden, (t.token_start, t.token_end))
-            id_logits = _linear(repr_, p["head.identifier.w"], p["head.identifier.b"])
-            ty_logits = _linear(repr_, p["head.type.w"], p["head.type.b"])
-            loss_id = ag.cross_entropy(ag.reshape(id_logits, (self.n_identifiers,)), t.identifier_index)
-            loss_ty = ag.cross_entropy(ag.reshape(ty_logits, (self.n_types,)), t.type_index)
-            per_mention.append(ag.add(loss_id, loss_ty))
-        return ag.scale(ag.add_n(per_mention), 1.0 / len(per_mention))
-
-
-def mention_repr(hidden: Tensor, token_range: tuple[int, int]) -> Tensor:
-    """Mean of the hidden rows in [start, stop), as a 1 x d_model row."""
-    start, stop = token_range
-    return ag.mean(ag.slice_rows(hidden, start, stop), axis=0, keepdims=True)
+        reprs = ag.matmul(Tensor(seg), self.encode(instance.token_ids, train=train, rng=rng))
+        id_logits = _linear(reprs, p["head.identifier.w"], p["head.identifier.b"])
+        ty_logits = _linear(reprs, p["head.type.w"], p["head.type.b"])
+        return ag.add(
+            ag.cross_entropy(id_logits, [t.identifier_index for t in targets]),
+            ag.cross_entropy(ty_logits, [t.type_index for t in targets]),
+        )
 
 
 def finetune_loss(

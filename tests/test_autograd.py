@@ -69,6 +69,33 @@ class TestForwardValues:
     def test_cross_entropy_target_out_of_range(self):
         with pytest.raises(ValueError):
             ag.cross_entropy(Tensor(np.zeros(3)), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            ag.cross_entropy(Tensor(np.zeros((2, 3))), [0, -1])
+
+    def test_cross_entropy_rows_is_mean_of_single_rows(self):
+        rng = _rng(4)
+        logits = rng.standard_normal((5, 6)) * 3
+        targets = rng.integers(6, size=5)
+        rows = [ag.cross_entropy(Tensor(logits[i]), int(targets[i])).item() for i in range(5)]
+        loss = ag.cross_entropy(Tensor(logits), targets)
+        assert loss.data.shape == ()
+        np.testing.assert_allclose(loss.item(), np.mean(rows), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, targets",
+        [
+            ((3,), [1]),             # a [k] row takes an int target
+            ((2, 3), 1),             # [m, k] rows take [m] targets
+            ((2, 3), [0, 1, 2]),
+            ((2, 3), [0.0, 1.0]),    # float targets
+            ((2, 3), [True, False]),
+            ((2, 2, 3), [[0, 1], [1, 0]]),
+            ((0, 3), np.zeros(0, dtype=int)),
+        ],
+    )
+    def test_cross_entropy_rejects_mismatched_targets(self, shape, targets):
+        with pytest.raises(ValueError):
+            ag.cross_entropy(Tensor(np.zeros(shape)), targets)
 
     def test_matmul_shape_mismatch_reports_shapes(self):
         with pytest.raises(ValueError, match=r"\(3,\)"):
@@ -174,6 +201,11 @@ class TestGradients:
         x = _rand(rng, 7)
         check_gradients(lambda: ag.cross_entropy(x, 4), {"x": x})
 
+    def test_cross_entropy_rows_gradient(self):
+        rng = _rng(27)
+        x = _rand(rng, 4, 5)
+        check_gradients(lambda: ag.cross_entropy(x, [4, 0, 2, 4]), {"x": x})
+
     def test_composite_expression(self):
         rng = _rng(26)
         w1, w2, b = _rand(rng, 5, 4), _rand(rng, 4, 3), _rand(rng, 3)
@@ -267,7 +299,7 @@ class TestTapeMechanics:
     def test_debug_finite_check(self):
         ag.set_debug_check_finite(True)
         try:
-            with pytest.raises(ag.NumericsError):
+            with pytest.raises(ag.NumericsError, match="softmax"):
                 ag.softmax(Tensor(np.array([np.nan, 0.0])))
         finally:
             ag.set_debug_check_finite(False)

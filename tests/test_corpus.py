@@ -225,12 +225,53 @@ def test_write_unknown_identifier_rejected():
         ([("C1", "G1", "Bind", "No"), ("G1", "C1", "Bind", "Novel")], "duplicate predicted relations"),
         ([("C1", "C1", "Bind", "No")], "self-relation"),
         ([("C1", "G1", "Bind", "Maybe")], "novelty"),
+        ([("C1", "G1", "Bi\tnd", "No")], "tab or line break"),
     ],
 )
 def test_write_rejects_predictions_that_would_not_parse(relations, fragment):
     docs = parse_pubtator(SIMPLE_BLOCK)
     with pytest.raises(CorpusError, match=fragment) as exc:
         write_pubtator(docs, {"42": [RelationAnnotation(*r) for r in relations]})
+    assert exc.value.pmid == "42"
+
+
+def _with_mention(doc, **changes):
+    """``doc`` with its first mention changed and no relations, which could
+    otherwise fail on a changed identifier first."""
+    first = dataclasses.replace(doc.mentions[0], **changes)
+    return dataclasses.replace(doc, mentions=(first,) + doc.mentions[1:], relations=())
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        pytest.param(lambda d: _with_mention(d, identifiers=("C1,C9",)), id="comma-in-identifier"),
+        pytest.param(lambda d: _with_mention(d, identifiers=(" C1",)), id="space-before-identifier"),
+        pytest.param(lambda d: _with_mention(d, identifiers=("C1\t",)), id="tab-in-identifier"),
+        pytest.param(lambda d: _with_mention(d, entity_type="Chem\tical"), id="tab-in-type"),
+        pytest.param(lambda d: _with_mention(d, entity_type="Chem\nical"), id="newline-in-type"),
+        pytest.param(
+            lambda d: dataclasses.replace(_with_mention(d, start=0, end=3, surface="A\tB"), title="A\tB."),
+            id="tab-in-surface",
+        ),
+        pytest.param(lambda d: dataclasses.replace(d, title="A\rB."), id="cr-in-title"),
+        pytest.param(
+            lambda d: dataclasses.replace(d, relations=(RelationAnnotation("C1", "G1", "Bi\tnd", "Novel"),)),
+            id="tab-in-relation-type",
+        ),
+        pytest.param(
+            lambda d: dataclasses.replace(d, relations=(RelationAnnotation("C1", "G1", "Bind\x85", "Novel"),)),
+            id="line-break-in-relation-type",
+        ),
+    ],
+)
+def test_fields_that_would_not_parse_back_are_rejected(mutation):
+    """A field with a tab, a line break, or an identifier with a comma or
+    surrounding whitespace would be split or changed by ``write_pubtator``
+    followed by ``parse_pubtator``, so the document is invalid."""
+    doc = mutation(parse_pubtator(SIMPLE_BLOCK)[0])
+    with pytest.raises(CorpusError) as exc:
+        write_pubtator([doc])
     assert exc.value.pmid == "42"
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entrex.corpus import parse_pubtator
+from entrex.corpus import Document, Mention, parse_pubtator, validate_document
 from entrex.masking import (
     MaskingConfig,
     apply_entity_mask,
@@ -164,6 +164,26 @@ def test_build_instances_skips_single_identifier_docs():
     vocab = build_vocab([eligible, lonely])
     out = build_pretraining_instances([eligible, lonely], vocab, MaskingConfig(), 0)
     assert [i.pmid for i in out] == ["10"]
+
+
+def test_build_instances_logs_partly_truncated_targets(caplog):
+    """Both identifiers have a mention before the cut at max_len and one
+    after it, so whichever is masked loses one of its two targets."""
+    title, abstract = "Alpha binds beta.", " ".join(["filler"] * 12) + " alpha and beta"
+    text = f"{title} {abstract}"
+    spans = [
+        (text.index("Alpha"), "Alpha", "Chemical", "C1"),
+        (text.index("beta"), "beta", "Gene", "G1"),
+        (text.rindex("alpha"), "alpha", "Chemical", "C1"),
+        (text.rindex("beta"), "beta", "Gene", "G1"),
+    ]
+    doc = Document("5", title, abstract, tuple(Mention(i, i + len(w), w, t, (c,)) for i, w, t, c in spans))
+    validate_document(doc)
+    vocab = build_vocab([doc])
+    with caplog.at_level("WARNING", logger="entrex.masking"):
+        out = build_pretraining_instances([doc], vocab, MaskingConfig(), 0, max_len=8)
+    assert len(out[0].token_ids) == 8 and len(out[0].masked_targets) == 1
+    assert [r.getMessage() for r in caplog.records] == ["masking truncate pmid=5 dropped=1 kept=1"]
 
 
 def test_every_identifier_masked_across_epochs():

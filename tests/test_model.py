@@ -13,7 +13,6 @@ from entrex.model import (
     LossWeights,
     RelationModel,
     finetune_loss,
-    mention_repr,
 )
 from entrex.optim import AdamState, adam_step
 from entrex.tokenizer import PAD_ID, Vocabulary, tag_tokens_for_types
@@ -173,22 +172,6 @@ def test_cls_only_forward_matches_full_encoding(n_layers):
         np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0, atol=1e-12, err_msg=name)
 
 
-def test_mention_repr_single_row_and_mean():
-    rng = np.random.default_rng(8)
-    hidden = Tensor(rng.standard_normal((6, 4)))
-    one = mention_repr(hidden, (2, 3))
-    np.testing.assert_allclose(one.data[0], hidden.data[2])
-    span = mention_repr(hidden, (1, 5))
-    naive = hidden.data[1:5].sum(axis=0) / 4.0
-    np.testing.assert_allclose(span.data[0], naive, atol=1e-12)
-
-
-def test_mention_repr_empty_range_rejected():
-    hidden = Tensor(np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        mention_repr(hidden, (2, 2))
-
-
 def _instance(targets, length=10):
     ids = tuple([0] + [6 + i for i in range(length - 2)] + [1])
     return MaskedInstance("1", ids, tuple(MaskedTarget(*t) for t in targets))
@@ -216,21 +199,55 @@ def test_pretrain_loss_fresh_init_near_uniform():
 
 def test_pretrain_loss_matches_per_mention_recomputation():
     model, vocab = _tiny_model(seed=7)
-    targets = [(2, 4, 1, 0), (6, 8, 2, 1)]
-    inst = _instance(targets)
-    hidden = _reference_encode(model, np.asarray(inst.token_ids))
     P = {k: v.data for k, v in model.params.items()}
-    total = 0.0
-    for start, stop, id_idx, ty_idx in targets:
-        r = hidden[start:stop].mean(axis=0)
-        for w, b, tgt in (
-            (P["head.identifier.w"], P["head.identifier.b"], id_idx),
-            (P["head.type.w"], P["head.type.b"], ty_idx),
-        ):
-            logits = r @ w + b
-            total += np.log(np.exp(logits).sum()) - logits[tgt]
-    expected = total / len(targets)
-    np.testing.assert_allclose(model.pretrain_loss(inst).item(), expected, atol=1e-10)
+    # equal 2-token spans; then a 1-token and a 3-token span
+    for targets in ([(2, 4, 1, 0), (6, 8, 2, 1)], [(2, 3, 1, 0), (5, 8, 2, 1)]):
+        inst = _instance(targets)
+        hidden = _reference_encode(model, np.asarray(inst.token_ids))
+        total = 0.0
+        for start, stop, id_idx, ty_idx in targets:
+            r = hidden[start:stop].mean(axis=0)
+            for w, b, tgt in (
+                (P["head.identifier.w"], P["head.identifier.b"], id_idx),
+                (P["head.type.w"], P["head.type.b"], ty_idx),
+            ):
+                logits = r @ w + b
+                total += np.log(np.exp(logits).sum()) - logits[tgt]
+        expected = total / len(targets)
+        np.testing.assert_allclose(model.pretrain_loss(inst).item(), expected, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "span", [(2, 2), (4, 3), (-1, 2), (8, 11)], ids=["empty", "reversed", "negative-start", "past-end"]
+)
+def test_pretrain_loss_rejects_bad_target_span(span):
+    model, _ = _tiny_model()
+    with pytest.raises(ValueError, match="span"):
+        model.pretrain_loss(_instance([(2, 4, 1, 0), (*span, 0, 1)]))
+
+
+@pytest.mark.parametrize("target", [(2, 4, 3, 0), (2, 4, 0, 2), (2, 4, -1, 0)])
+def test_pretrain_loss_rejects_out_of_range_label(target):
+    model, _ = _tiny_model()
+    with pytest.raises(ValueError, match="out of range"):
+        model.pretrain_loss(_instance([(5, 6, 0, 0), target]))
+
+
+def _tape_size(loss):
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_pretrain_loss_tape_size_independent_of_target_count():
+    model, _ = _tiny_model(seed=9)
+    one = model.pretrain_loss(_instance([(2, 4, 1, 0)]))
+    four = model.pretrain_loss(_instance([(1, 2, 0, 0), (2, 4, 1, 1), (4, 5, 2, 0), (6, 9, 1, 1)]))
+    assert _tape_size(one) == _tape_size(four)
 
 
 def test_pretrain_loss_requires_targets():
