@@ -219,16 +219,6 @@ def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     return _make(xhat, (x,), backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0.0)
-
-    def backward(g):
-        _accumulate(x, g * mask, owned=True)
-
-    return _make(out, (x,), backward)
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 

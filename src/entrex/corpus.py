@@ -1,4 +1,4 @@
-"""PubTator corpus parsing, validation, and entity-pair candidate generation.
+"""PubTator corpus parsing, validated documents, and entity-pair candidates.
 
 The on-disk format is line oriented: one block per document, blocks
 separated by a blank line.  A block carries a ``PMID|t|`` title line, a
@@ -10,9 +10,10 @@ Parsing is strict: any malformed line or inconsistent annotation rejects
 the whole file with a :class:`CorpusError`.  Syntax errors -- a bad
 ``t``/``a`` head line, an annotation PMID that does not match its block,
 a wrong field count, a non-integer offset -- name the line number and
-the PMID.  Every document invariant is owned by :func:`validate_document`,
-whose errors name the PMID plus the offending offsets or identifier pair;
-predicted relations pass the same relation rules in
+the PMID.  Every document invariant is checked when a :class:`Document`
+is constructed, so an invalid document cannot exist; its errors name the
+PMID plus the offending offsets or identifier pair.  Predicted relations,
+which come from outside a document, pass the same relation rules in
 :func:`validate_predictions`.
 """
 
@@ -87,6 +88,60 @@ class Document:
         """Title and abstract joined by a single space; offsets index into this."""
         return f"{self.title} {self.abstract}"
 
+    def __post_init__(self):
+        """Check every document invariant; raise CorpusError on the first violation.
+
+        These include that every field is written as one field and read back
+        unchanged, so ``parse_pubtator(write_pubtator(docs))`` round-trips,
+        and that every mention surface holds a token.
+        """
+        pmid = self.pmid
+        if not pmid or "|" in pmid or _breaks(pmid):
+            raise CorpusError(f"invalid PMID {pmid!r}", pmid=pmid)
+        if _breaks(self.title, tab=False) or _breaks(self.abstract, tab=False):
+            raise CorpusError("title/abstract must be single lines", pmid=pmid)
+        text = self.full_text
+        boundary = len(self.title)  # index of the separator space
+        prev = (-1, -1)
+        for m in self.mentions:
+            if not (0 <= m.start < m.end <= len(text)):
+                raise CorpusError(
+                    f"mention offsets [{m.start},{m.end}) out of range for text of length {len(text)}",
+                    pmid=pmid,
+                )
+            if text[m.start:m.end] != m.surface:
+                raise CorpusError(
+                    f"mention surface {m.surface!r} does not match text "
+                    f"{text[m.start:m.end]!r} at [{m.start},{m.end})",
+                    pmid=pmid,
+                )
+            if m.start <= boundary < m.end:
+                raise CorpusError(
+                    f"mention [{m.start},{m.end}) crosses the title/abstract boundary",
+                    pmid=pmid,
+                )
+            if "\t" in m.surface:  # a span of the text, which holds no line break
+                raise CorpusError(f"mention surface {m.surface!r} at [{m.start},{m.end}) holds a tab", pmid=pmid)
+            if m.surface.isspace():  # the tokenizer aligns every mention to a token
+                raise CorpusError(
+                    f"mention surface {m.surface!r} at [{m.start},{m.end}) holds only whitespace", pmid=pmid
+                )
+            if not m.identifiers or any(not i for i in m.identifiers):
+                raise CorpusError(f"mention at [{m.start},{m.end}) has an empty identifier", pmid=pmid)
+            # The parser sorts by (start, end); any other order would not read back.
+            if (m.start, m.end) < prev:
+                raise CorpusError("mentions not sorted by (start, end) offsets", pmid=pmid)
+            prev = (m.start, m.end)
+        # Each distinct value once: documents repeat types and identifiers.
+        for entity_type in {m.entity_type for m in self.mentions}:
+            if _breaks(entity_type):
+                raise CorpusError(f"entity type {entity_type!r} holds a tab or line break", pmid=pmid)
+        identifiers = self.mention_identifiers()
+        for i in identifiers:
+            if _breaks(i) or "," in i or i != i.strip():
+                raise CorpusError(f"identifier {i!r} holds a tab, line break or comma, or surrounding space", pmid=pmid)
+        check_relations(pmid, self.relations, identifiers, "relation")
+
     def mention_identifiers(self) -> set[str]:
         """Every identifier attached to any mention, including the null one."""
         return {i for m in self.mentions for i in m.identifiers}
@@ -150,55 +205,6 @@ def check_relations(
                 raise CorpusError(f"{what} endpoint {endpoint!r} has no mention", pmid=pmid)
 
 
-def validate_document(doc: Document) -> None:
-    """Check every document invariant; raise CorpusError on the first violation.
-
-    These include that every field is written as one field and read back
-    unchanged, so ``parse_pubtator(write_pubtator(docs))`` round-trips.
-    """
-    pmid = doc.pmid
-    if not pmid or "|" in pmid or _breaks(pmid):
-        raise CorpusError(f"invalid PMID {pmid!r}", pmid=pmid)
-    if _breaks(doc.title, tab=False) or _breaks(doc.abstract, tab=False):
-        raise CorpusError("title/abstract must be single lines", pmid=pmid)
-    text = doc.full_text
-    boundary = len(doc.title)  # index of the separator space
-    prev_start = -1
-    for m in doc.mentions:
-        if not (0 <= m.start < m.end <= len(text)):
-            raise CorpusError(
-                f"mention offsets [{m.start},{m.end}) out of range for text of length {len(text)}",
-                pmid=pmid,
-            )
-        if text[m.start:m.end] != m.surface:
-            raise CorpusError(
-                f"mention surface {m.surface!r} does not match text "
-                f"{text[m.start:m.end]!r} at [{m.start},{m.end})",
-                pmid=pmid,
-            )
-        if m.start <= boundary < m.end:
-            raise CorpusError(
-                f"mention [{m.start},{m.end}) crosses the title/abstract boundary",
-                pmid=pmid,
-            )
-        if "\t" in m.surface:  # a span of the text, which holds no line break
-            raise CorpusError(f"mention surface {m.surface!r} at [{m.start},{m.end}) holds a tab", pmid=pmid)
-        if not m.identifiers or any(not i for i in m.identifiers):
-            raise CorpusError(f"mention at [{m.start},{m.end}) has an empty identifier", pmid=pmid)
-        if m.start < prev_start:
-            raise CorpusError("mentions not sorted by start offset", pmid=pmid)
-        prev_start = m.start
-    # Each distinct value once: documents repeat types and identifiers.
-    for entity_type in {m.entity_type for m in doc.mentions}:
-        if _breaks(entity_type):
-            raise CorpusError(f"entity type {entity_type!r} holds a tab or line break", pmid=pmid)
-    identifiers = doc.mention_identifiers()
-    for i in identifiers:
-        if _breaks(i) or "," in i or i != i.strip():
-            raise CorpusError(f"identifier {i!r} holds a tab, line break or comma, or surrounding space", pmid=pmid)
-    check_relations(pmid, doc.relations, identifiers, "relation")
-
-
 def validate_predictions(
     docs: Iterable[Document], predicted: Mapping[str, Collection[RelationAnnotation]]
 ) -> None:
@@ -206,7 +212,7 @@ def validate_predictions(
 
     Every PMID in ``predicted`` must name one of ``docs``, and each
     document's predictions must pass :func:`check_relations`, the rules
-    :func:`validate_document` applies to the document's own relations.
+    a :class:`Document` applies to its own relations.
     """
     by_pmid = {d.pmid: d for d in docs}
     for pmid, relations in predicted.items():
@@ -223,8 +229,8 @@ def _parse_int_offset(field: str, what: str, pmid: str, line_no: int) -> int:
 
 
 def _parse_block(numbered: list[tuple[int, str]]) -> Document:
-    """Build one document from its numbered lines: syntax checks only, then
-    :func:`validate_document` for the invariants."""
+    """Build one document from its numbered lines: syntax checks only; the
+    :class:`Document` checks the invariants."""
     line_no, first = numbered[0]
     head = first.split("|", 2)
     if len(head) != 3 or head[1] != "t":
@@ -262,9 +268,7 @@ def _parse_block(numbered: list[tuple[int, str]]) -> Document:
             )
 
     mentions.sort(key=lambda m: (m.start, m.end))
-    doc = Document(pmid, title, abstract, tuple(mentions), tuple(relations))
-    validate_document(doc)
-    return doc
+    return Document(pmid, title, abstract, tuple(mentions), tuple(relations))
 
 
 def parse_pubtator(stream: str | TextIO) -> list[Document]:
@@ -289,28 +293,19 @@ def parse_pubtator(stream: str | TextIO) -> list[Document]:
     return docs
 
 
-def candidate_pairs(
-    doc: Document,
-    type_pair_allowlist: Iterable[tuple[str, str]] | None = None,
-) -> list[PairCandidate]:
+def candidate_pairs(doc: Document) -> list[PairCandidate]:
     """Enumerate all unordered pairs of distinct groundable identifiers.
 
     Pairs matching a gold relation carry its relation and novelty labels;
     all others are labeled ``None``/``NoneClass``.  Order is deterministic:
-    lexicographic over canonical pairs.  ``type_pair_allowlist``, when
-    given, keeps only pairs whose unordered type combination is listed.
+    lexicographic over canonical pairs.
     """
     identifiers = doc.groundable_identifiers()
     types = doc.identifier_types()
     annotated = {r.pair_key(): r for r in doc.relations}
-    allowed = None
-    if type_pair_allowlist is not None:
-        allowed = {frozenset(p) for p in type_pair_allowlist}
     out: list[PairCandidate] = []
     for src_id, tgt_id in itertools.combinations(identifiers, 2):
         src_type, tgt_type = types[src_id], types[tgt_id]
-        if allowed is not None and frozenset((src_type, tgt_type)) not in allowed:
-            continue
         rel = annotated.get((src_id, tgt_id))
         if rel is None:
             out.append(PairCandidate(src_id, tgt_id, src_type, tgt_type))
@@ -328,7 +323,8 @@ def write_pubtator(
     """Serialize documents back to PubTator text.
 
     With ``predicted=None`` the documents' own relations are written, so
-    ``parse_pubtator(write_pubtator(docs))`` round-trips.  Otherwise the
+    ``parse_pubtator(write_pubtator(docs))`` round-trips: every
+    :class:`Document` was checked when it was constructed.  Otherwise the
     gold relation lines are replaced by ``predicted[pmid]`` (documents
     absent from the map get no relation lines), after
     :func:`validate_predictions` has checked them, so the text written
@@ -341,7 +337,6 @@ def write_pubtator(
         validate_predictions(docs, predicted)
     blocks: list[str] = []
     for doc in docs:
-        validate_document(doc)
         lines = [f"{doc.pmid}|t|{doc.title}", f"{doc.pmid}|a|{doc.abstract}"]
         for m in doc.mentions:
             lines.append(

@@ -130,13 +130,12 @@ def evaluate(
 ) -> MetricsReport:
     """Score predictions against gold relations, pooled across documents.
 
-    The predictions are checked by :func:`~entrex.corpus.validate_predictions`,
-    and each gold document's relations by the same relation rules, so every
-    relation is one pair of its document and keys are unique at every level.
+    The predictions are checked by :func:`~entrex.corpus.validate_predictions`
+    with the relation rules each gold :class:`~entrex.corpus.Document` passed
+    when it was constructed, so every relation is one pair of its document
+    and keys are unique at every level.
     """
     validate_predictions(gold_corpus, predictions)
-    for doc in gold_corpus:
-        check_relations(doc.pmid, doc.relations, doc.mention_identifiers(), "gold relation")
     gold_keys = [_full_key(doc.pmid, rel) for doc in gold_corpus for rel in doc.relations]
     pred_keys = [_full_key(pmid, rel) for pmid, rels in predictions.items() for rel in rels]
     key_sets = {

@@ -34,16 +34,10 @@ log = logging.getLogger(__name__)
 class MaskingConfig:
     threshold: float = 0.2
     seed: int = 0
-    min_unmasked_identifiers: int = 1
-    min_masked_identifiers: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0,1], got {self.threshold}")
-        if self.min_unmasked_identifiers < 1:
-            raise ValueError("min_unmasked_identifiers must be >= 1")
-        if self.min_masked_identifiers < 0:
-            raise ValueError("min_masked_identifiers must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -66,19 +60,21 @@ class MaskedInstance:
 def select_masked_identifiers(
     doc: Document, rng: np.random.Generator, cfg: MaskingConfig
 ) -> set[str]:
-    """Draw the set of identifiers to mask for one pretraining instance."""
+    """Draw the set of identifiers to mask for one pretraining instance.
+
+    An all-selected draw unmasks one identifier at random and an empty
+    draw masks one, so at least one is masked and at least one is not.
+    """
     identifiers = doc.groundable_identifiers()
     if len(identifiers) < 2:
         raise ValueError(
             f"document {doc.pmid} has {len(identifiers)} groundable identifiers; need >= 2"
         )
     selected = [i for i in identifiers if rng.random() < cfg.threshold]
-    max_selected = len(identifiers) - cfg.min_unmasked_identifiers
-    while len(selected) > max_selected:
+    if len(selected) == len(identifiers):
         selected.pop(int(rng.integers(len(selected))))
-    while len(selected) < min(cfg.min_masked_identifiers, max_selected):
-        unselected = [i for i in identifiers if i not in selected]
-        selected.append(unselected[int(rng.integers(len(unselected)))])
+    elif not selected:
+        selected.append(identifiers[int(rng.integers(len(identifiers)))])
     return set(selected)
 
 

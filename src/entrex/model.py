@@ -24,7 +24,6 @@ from .autograd import Tensor, parameter
 from .masking import MaskedInstance
 from .tokenizer import PAD_ID, Vocabulary
 
-_ACTIVATIONS = {"gelu": ag.gelu, "relu": ag.relu}
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 
@@ -36,7 +35,6 @@ class EncoderConfig:
     ffn_dim: int = 512
     max_len: int = 512
     dropout: float = 0.1
-    activation: str = "gelu"
     precision: str = "float32"
 
     def __post_init__(self):
@@ -44,8 +42,6 @@ class EncoderConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_len < 8:
             raise ValueError(f"max_len must be >= 8, got {self.max_len}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.precision not in _PRECISIONS:
             raise ValueError(f"unknown precision {self.precision!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -207,8 +203,6 @@ class RelationModel:
             raise ValueError(f"token_ids must be a non-empty 1-D sequence, got shape {ids.shape}")
         if ids.size > self.cfg.max_len:
             raise ValueError(f"sequence length {ids.size} exceeds max_len {self.cfg.max_len}")
-        if ids.min() < 0 or ids.max() >= self.n_tokens:
-            raise ValueError(f"token id out of range [0,{self.n_tokens})")
         if (ids == PAD_ID).any():
             raise ValueError("token_ids contain PAD_ID; encode takes unpadded sequences")
         p = self.params
@@ -229,7 +223,7 @@ class RelationModel:
                 attn = ag.dropout(attn, drop, rng)
             x = ag.add(x, attn)
             h = _linear(self._layer_norm(x, f"enc{i}.ln2"), p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.b1"])
-            h = _ACTIVATIONS[self.cfg.activation](h)
+            h = ag.gelu(h)
             h = _linear(h, p[f"enc{i}.ffn.w2"], p[f"enc{i}.ffn.b2"])
             if drop > 0:
                 h = ag.dropout(h, drop, rng)
@@ -238,7 +232,7 @@ class RelationModel:
 
     def _mlp_head(self, x: Tensor, name: str) -> Tensor:
         p = self.params
-        h = _ACTIVATIONS[self.cfg.activation](_linear(x, p[f"head.{name}.w1"], p[f"head.{name}.b1"]))
+        h = ag.gelu(_linear(x, p[f"head.{name}.w1"], p[f"head.{name}.b1"]))
         out = _linear(h, p[f"head.{name}.w2"], p[f"head.{name}.b2"])
         return ag.reshape(out, (out.data.shape[-1],))
 

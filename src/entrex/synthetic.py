@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .corpus import Document, Mention, RelationAnnotation, validate_document
+from .corpus import Document, Mention, RelationAnnotation
 
 _FILLER = (
     "the", "a", "of", "in", "with", "patients", "cells", "expression",
@@ -71,15 +71,13 @@ def _build_document(pmid, title_parts, abstract_parts, relations) -> Document:
         for m in abstract_mentions
     ]
     mentions.sort(key=lambda m: (m.start, m.end))
-    doc = Document(
+    return Document(
         pmid=pmid,
         title=title,
         abstract=abstract,
         mentions=tuple(mentions),
         relations=tuple(RelationAnnotation(*r) for r in relations),
     )
-    validate_document(doc)
-    return doc
 
 
 def _pseudo_word(rng: np.random.Generator, n_syllables: int = 3) -> str:

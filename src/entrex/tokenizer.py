@@ -182,9 +182,12 @@ class TokenizedDocument:
     mention_token_ranges: tuple[tuple[int, int], ...]  # aligned with the document's mentions
 
 
-def tokenize(text: str, mentions: Sequence[Mention], vocab: Vocabulary) -> TokenizedDocument:
-    """Tokenize text and align every mention to a contiguous token range."""
-    triples = split_tokens(text, mentions)
+def tokenize_document(doc: Document, vocab: Vocabulary) -> TokenizedDocument:
+    """Tokenize the document's text and align every mention to a contiguous,
+    non-empty token range.  The range is never empty: every mention surface
+    holds a non-whitespace character (a :class:`Document` invariant), and
+    the cuts at mention boundaries keep its token inside the mention."""
+    triples = split_tokens(doc.full_text, doc.mentions)
     spans = tuple((s, e) for s, e, _ in triples)
     token_ids = tuple(vocab.token_id(t) for _, _, t in triples)
     # Spans are sorted and disjoint, so the tokens starting at or after a
@@ -192,19 +195,8 @@ def tokenize(text: str, mentions: Sequence[Mention], vocab: Vocabulary) -> Token
     # the tokens inside the mention are their (contiguous) overlap.
     starts = [s for s, _ in spans]
     ends = [e for _, e in spans]
-    ranges = []
-    for m in mentions:
-        lo, hi = bisect_left(starts, m.start), bisect_right(ends, m.end)
-        if lo >= hi:
-            raise ValueError(
-                f"mention {m.surface!r} at [{m.start},{m.end}) produced no tokens"
-            )
-        ranges.append((lo, hi))
-    return TokenizedDocument(token_ids, spans, tuple(ranges))
-
-
-def tokenize_document(doc: Document, vocab: Vocabulary) -> TokenizedDocument:
-    return tokenize(doc.full_text, doc.mentions, vocab)
+    ranges = tuple((bisect_left(starts, m.start), bisect_right(ends, m.end)) for m in doc.mentions)
+    return TokenizedDocument(token_ids, spans, ranges)
 
 
 def build_vocab(corpus: Sequence[Document], min_freq: int = 1) -> Vocabulary:

@@ -12,10 +12,8 @@ from entrex import autograd
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Ops no workload calls yet and the tracer does not list: relu is only
-# reached through EncoderConfig(activation="relu").  Listing it in
-# AUTOGRAD_OPS belongs to the next change of the benchmark.
-UNTRACED_OPS = {"relu"}
+# Ops the tracer may leave out: none, so every op must be traced.
+UNTRACED_OPS = set()
 
 
 def test_benchmark_smoke_passes():

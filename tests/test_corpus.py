@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrex.corpus import (
+    NOVELTY_CLASSES,
     CorpusError,
     Document,
     Mention,
@@ -98,6 +99,18 @@ def test_mention_crossing_title_boundary_rejected():
     assert "boundary" in str(exc.value)
 
 
+def test_whitespace_only_mention_rejected():
+    """A mention with no token could not be aligned to a token range."""
+    text = (
+        "42|t|A B.\n"
+        "42|a|C   D.\n"
+        "42\t6\t9\t   \tGene\tG1\n"
+    )
+    with pytest.raises(CorpusError, match=r"\[6,9\) holds only whitespace") as exc:
+        parse_pubtator(text)
+    assert exc.value.pmid == "42"
+
+
 def test_duplicate_pmid_rejected():
     with pytest.raises(CorpusError) as exc:
         parse_pubtator(SIMPLE_BLOCK + "\n" + SIMPLE_BLOCK)
@@ -181,17 +194,6 @@ def test_candidates_match_bruteforce_enumeration():
                 assert len(matches) == 1
 
 
-def test_candidate_type_pair_allowlist():
-    doc = random_document(np.random.default_rng(3), "5", min_identifiers=4, max_identifiers=8)
-    types = doc.identifier_types()
-    all_pairs = candidate_pairs(doc)
-    allow = [(all_pairs[0].src_type, all_pairs[0].tgt_type)]
-    kept = candidate_pairs(doc, type_pair_allowlist=allow)
-    assert kept
-    for c in kept:
-        assert frozenset((types[c.src_id], types[c.tgt_id])) == frozenset(allow[0])
-
-
 def test_write_roundtrip_fixture():
     docs = parse_pubtator(SIMPLE_BLOCK)
     assert parse_pubtator(write_pubtator(docs)) == docs
@@ -235,11 +237,13 @@ def test_write_rejects_predictions_that_would_not_parse(relations, fragment):
     assert exc.value.pmid == "42"
 
 
-def _with_mention(doc, **changes):
+def _with_mention(doc, title=None, **changes):
     """``doc`` with its first mention changed and no relations, which could
     otherwise fail on a changed identifier first."""
     first = dataclasses.replace(doc.mentions[0], **changes)
-    return dataclasses.replace(doc, mentions=(first,) + doc.mentions[1:], relations=())
+    return dataclasses.replace(
+        doc, title=title or doc.title, mentions=(first,) + doc.mentions[1:], relations=()
+    )
 
 
 @pytest.mark.parametrize(
@@ -250,10 +254,7 @@ def _with_mention(doc, **changes):
         pytest.param(lambda d: _with_mention(d, identifiers=("C1\t",)), id="tab-in-identifier"),
         pytest.param(lambda d: _with_mention(d, entity_type="Chem\tical"), id="tab-in-type"),
         pytest.param(lambda d: _with_mention(d, entity_type="Chem\nical"), id="newline-in-type"),
-        pytest.param(
-            lambda d: dataclasses.replace(_with_mention(d, start=0, end=3, surface="A\tB"), title="A\tB."),
-            id="tab-in-surface",
-        ),
+        pytest.param(lambda d: _with_mention(d, start=0, end=3, surface="A\tB", title="A\tB."), id="tab-in-surface"),
         pytest.param(lambda d: dataclasses.replace(d, title="A\rB."), id="cr-in-title"),
         pytest.param(
             lambda d: dataclasses.replace(d, relations=(RelationAnnotation("C1", "G1", "Bi\tnd", "Novel"),)),
@@ -268,11 +269,68 @@ def _with_mention(doc, **changes):
 def test_fields_that_would_not_parse_back_are_rejected(mutation):
     """A field with a tab, a line break, or an identifier with a comma or
     surrounding whitespace would be split or changed by ``write_pubtator``
-    followed by ``parse_pubtator``, so the document is invalid."""
-    doc = mutation(parse_pubtator(SIMPLE_BLOCK)[0])
+    followed by ``parse_pubtator``, so no such document can be constructed."""
+    doc = parse_pubtator(SIMPLE_BLOCK)[0]
     with pytest.raises(CorpusError) as exc:
-        write_pubtator([doc])
+        mutation(doc)
     assert exc.value.pmid == "42"
+
+
+# Letters plus every character that has a meaning in the PubTator format.
+_FIELD_ALPHABET = "aB \t\r\n\x85,|"
+
+
+def _mostly(plain, special):
+    """Three draws in four from ``plain``, so that many drawn documents are valid."""
+    return st.sampled_from([plain, plain, plain, special]).flatmap(lambda s: s)
+
+
+_FIELDS = _mostly(st.text("aB", min_size=1, max_size=4), st.text(_FIELD_ALPHABET, max_size=4))
+_TEXTS = _mostly(st.text("aB ", min_size=1, max_size=8), st.text(_FIELD_ALPHABET, max_size=8))
+
+
+@st.composite
+def _document_fields(draw):
+    """``Document`` keyword arguments, valid or not, with mention spans
+    over the title or the abstract."""
+    title, abstract = draw(_TEXTS), draw(_TEXTS)
+    mentions = []
+    for _ in range(draw(st.integers(0, 4))):
+        lo, hi = (0, len(title)) if draw(st.booleans()) else (len(title) + 1, len(title) + 1 + len(abstract))
+        start = draw(st.integers(lo, max(lo, hi - 1)))
+        end = draw(st.integers(start + 1, max(start + 1, hi)))
+        surface = f"{title} {abstract}"[start:end]
+        identifiers = tuple(draw(st.lists(_FIELDS, min_size=1, max_size=2)))
+        mentions.append(Mention(start, end, surface, draw(_FIELDS), identifiers))
+    mentions.sort(key=lambda m: m.start)  # equal starts keep their drawn order, either end first
+    pairs = list(itertools.combinations(sorted({i for m in mentions for i in m.identifiers}), 2))
+    endpoints = st.tuples(_FIELDS, _FIELDS)
+    if pairs:
+        endpoints = _mostly(st.sampled_from(pairs), endpoints)
+    relation = st.builds(
+        lambda ends, *labels: RelationAnnotation(*ends, *labels), endpoints, _FIELDS, st.sampled_from(NOVELTY_CLASSES)
+    )
+    return {
+        "pmid": draw(_FIELDS),
+        "title": title,
+        "abstract": abstract,
+        "mentions": tuple(mentions),
+        "relations": tuple(draw(st.lists(relation, max_size=2, unique_by=lambda r: r.pair_key()))),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_document_fields())
+def test_document_is_rejected_or_round_trips(fields):
+    """Either the document cannot be constructed, with an error naming its
+    PMID, or it is written and parsed back unchanged."""
+    try:
+        doc = Document(**fields)
+    except CorpusError as exc:
+        assert exc.pmid == fields["pmid"]
+        assert not exc.pmid or f"PMID {exc.pmid}" in str(exc)
+        return
+    assert parse_pubtator(write_pubtator([doc])) == [doc]
 
 
 @settings(max_examples=100, deadline=None)

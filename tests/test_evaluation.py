@@ -1,5 +1,7 @@
 """Four-level micro scoring: match keys, counts, conventions and input checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from entrex.synthetic import random_corpus
 
 
 def _doc(pmid, identifiers, relations=()):
-    mentions = tuple(Mention(0, 1, "x", "Chemical", (i,)) for i in identifiers)
-    return Document(pmid, "t", "a", mentions, tuple(RelationAnnotation(*r) for r in relations))
+    """Title "t" and one abstract word per identifier, its only mention."""
+    starts = itertools.accumulate((len(i) + 1 for i in identifiers), initial=2)
+    mentions = tuple(Mention(s, s + len(i), i, "Chemical", (i,)) for s, i in zip(starts, identifiers))
+    return Document(pmid, "t", " ".join(identifiers), mentions, tuple(RelationAnnotation(*r) for r in relations))
 
 
 def _rels(*specs):
@@ -76,9 +80,9 @@ def test_empty_gold_and_predictions_score_one():
 
 
 def test_duplicate_gold_relations_rejected():
-    gold = [_doc("1", ["C1", "G1"], [("C1", "G1", "Bind", "No"), ("G1", "C1", "Assoc", "Novel")])]
-    with pytest.raises(ValueError, match="duplicate gold relations"):
-        evaluate(gold, {})
+    with pytest.raises(CorpusError, match="duplicate relations") as err:
+        _doc("1", ["C1", "G1"], [("C1", "G1", "Bind", "No"), ("G1", "C1", "Assoc", "Novel")])
+    assert err.value.pmid == "1"
 
 
 def test_duplicate_predicted_relations_rejected():

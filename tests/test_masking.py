@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entrex.corpus import Document, Mention, parse_pubtator, validate_document
+from entrex.corpus import Document, Mention, parse_pubtator
 from entrex.masking import (
     MaskingConfig,
     apply_entity_mask,
@@ -49,17 +49,17 @@ def test_selection_requires_two_identifiers():
 
 
 def test_selection_rate_matches_threshold():
-    """Pre-repair Bernoulli rate over 10,000 draws sits in [0.18, 0.22].
+    """Selection rate over 10,000 identifier draws sits in [0.18, 0.22].
 
-    min_masked=0 disables the none-selected repair; with 10 identifiers a
-    document triggers the all-selected repair with probability 0.2**10,
-    so the measured rate is the raw Bernoulli rate.
+    With 30 identifiers a draw triggers the none-selected repair with
+    probability 0.8**30 (about 0.1%) and the all-selected one with
+    0.2**30, so the measured rate is, in effect, the raw Bernoulli rate.
     """
-    cfg = MaskingConfig(threshold=0.2, min_masked_identifiers=0)
+    cfg = MaskingConfig(threshold=0.2)
     rng = _rng(404)
     draws = 0
     hits = 0
-    doc = random_document(_rng(77), "1", min_identifiers=10, max_identifiers=10)
+    doc = random_document(_rng(77), "1", min_identifiers=30, max_identifiers=30)
     k = len(doc.groundable_identifiers())
     while draws < 10_000:
         selected = select_masked_identifiers(doc, rng, cfg)
@@ -72,8 +72,6 @@ def test_selection_rate_matches_threshold():
 def test_config_validation():
     with pytest.raises(ValueError):
         MaskingConfig(threshold=1.5)
-    with pytest.raises(ValueError):
-        MaskingConfig(min_unmasked_identifiers=0)
 
 
 def test_apply_empty_selection_is_identity():
@@ -178,7 +176,6 @@ def test_build_instances_logs_partly_truncated_targets(caplog):
         (text.rindex("beta"), "beta", "Gene", "G1"),
     ]
     doc = Document("5", title, abstract, tuple(Mention(i, i + len(w), w, t, (c,)) for i, w, t, c in spans))
-    validate_document(doc)
     vocab = build_vocab([doc])
     with caplog.at_level("WARNING", logger="entrex.masking"):
         out = build_pretraining_instances([doc], vocab, MaskingConfig(), 0, max_len=8)

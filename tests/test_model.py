@@ -47,8 +47,6 @@ def test_config_validation():
         EncoderConfig(d_model=10, n_heads=4)
     with pytest.raises(ValueError):
         EncoderConfig(max_len=4)
-    with pytest.raises(ValueError):
-        EncoderConfig(activation="tanh")
 
 
 def test_loss_weights_validation():

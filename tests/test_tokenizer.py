@@ -17,14 +17,8 @@ from entrex.tokenizer import (
     load_vocab,
     save_vocab,
     split_tokens,
-    tokenize,
     tokenize_document,
 )
-
-
-def _single_doc(text="C binds C .", mentions=()):
-    title, _, abstract = text.partition(" ")
-    return Document("1", title, abstract, tuple(mentions))
 
 
 def test_build_vocab_includes_each_word_once():
@@ -153,13 +147,6 @@ def test_mention_alignment_matches_span_scan(kwargs):
         doc = random_document(rng, str(i), **kwargs)
         tok = tokenize_document(doc, build_vocab([doc]))
         assert list(tok.mention_token_ranges) == _scan_mention_ranges(tok.spans, doc.mentions)
-
-
-def test_mention_without_tokens_rejected():
-    text = "a   b"
-    vocab = build_vocab([_single_doc(text)])
-    with pytest.raises(ValueError, match="produced no tokens"):
-        tokenize(text, [Mention(1, 4, "   ", "Gene", ("G1",))], vocab)
 
 
 @pytest.fixture
