@@ -41,10 +41,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
@@ -234,21 +230,6 @@ def gelu(x: Tensor) -> Tensor:
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data**2)
         gx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du
         _accumulate(x, g * gx, owned=True)
-
-    return _make(out, (x,), backward)
-
-
-def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            gx = np.broadcast_to(g / x.data.size, x.data.shape)
-        else:
-            n = x.data.shape[axis]
-            ge = g if keepdims else np.expand_dims(g, axis)
-            gx = np.broadcast_to(ge / n, x.data.shape)
-        _accumulate(x, gx)
 
     return _make(out, (x,), backward)
 

@@ -150,14 +150,6 @@ class Document:
         """Distinct non-null identifiers in canonical (sorted) order."""
         return sorted(i for i in self.mention_identifiers() if i != NULL_IDENTIFIER)
 
-    def identifier_types(self) -> dict[str, str]:
-        """Concept type per identifier, taken from its first mention."""
-        types: dict[str, str] = {}
-        for m in self.mentions:
-            for i in m.identifiers:
-                types.setdefault(i, m.entity_type)
-        return types
-
 
 @dataclass(frozen=True)
 class PairCandidate:
@@ -165,8 +157,6 @@ class PairCandidate:
 
     src_id: str
     tgt_id: str
-    src_type: str
-    tgt_type: str
     relation_label: str = NO_RELATION_LABEL
     novelty_label: str = NO_NOVELTY_LABEL
 
@@ -301,18 +291,14 @@ def candidate_pairs(doc: Document) -> list[PairCandidate]:
     lexicographic over canonical pairs.
     """
     identifiers = doc.groundable_identifiers()
-    types = doc.identifier_types()
     annotated = {r.pair_key(): r for r in doc.relations}
     out: list[PairCandidate] = []
     for src_id, tgt_id in itertools.combinations(identifiers, 2):
-        src_type, tgt_type = types[src_id], types[tgt_id]
         rel = annotated.get((src_id, tgt_id))
         if rel is None:
-            out.append(PairCandidate(src_id, tgt_id, src_type, tgt_type))
+            out.append(PairCandidate(src_id, tgt_id))
         else:
-            out.append(
-                PairCandidate(src_id, tgt_id, src_type, tgt_type, rel.relation_type, rel.novelty)
-            )
+            out.append(PairCandidate(src_id, tgt_id, rel.relation_type, rel.novelty))
     return out
 
 

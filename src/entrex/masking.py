@@ -6,6 +6,9 @@ identifier stays unmasked and at least one is masked.  Masking an
 identifier replaces every token of every one of its mentions with the
 MASK token and records one (token range, identifier, type) target per
 masked mention.
+
+Instances are framed by ``tokenizer.frame``, so target ranges are framed
+offsets (document token ``i`` is token ``i + 1``); a target cut is dropped.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ import numpy as np
 
 from .corpus import Document
 from .tokenizer import (
-    CLS_ID,
     MASK_ID,
-    SEP_ID,
+    MAX_LEN,
     TokenizedDocument,
     Vocabulary,
+    frame,
     tokenize_document,
 )
 
@@ -50,7 +53,7 @@ class MaskedTarget:
 
 @dataclass(frozen=True)
 class MaskedInstance:
-    """A token sequence with masked entity spans and their recovery targets."""
+    """A framed token sequence with masked entity spans and their recovery targets."""
 
     pmid: str
     token_ids: tuple[int, ...]
@@ -83,40 +86,35 @@ def apply_entity_mask(
     doc: Document,
     selected: set[str],
     vocab: Vocabulary,
+    max_len: int,
 ) -> MaskedInstance:
-    """Mask every mention of every selected identifier; emit per-mention targets.
+    """Mask every mention of every selected identifier, emit per-mention targets, frame.
 
     A composite mention (several identifiers) has one target: the
     lexicographically first of its selected identifiers (``hit[0]``).
+    Targets the frame cuts are dropped and, unless none is left (the
+    caller's to skip), counted in a ``masking truncate`` warning.
     """
-    known = doc.mention_identifiers()
-    missing = selected - known
-    if missing:
-        raise ValueError(f"selected identifiers with no mention in {doc.pmid}: {sorted(missing)}")
     token_ids = list(tok.token_ids)
     targets: list[MaskedTarget] = []
+    masked: set[str] = set()
     for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
         hit = sorted(set(m.identifiers) & selected)
         if not hit:
             continue
+        masked.update(hit)
         token_ids[lo:hi] = [MASK_ID] * (hi - lo)
         targets.append(
-            MaskedTarget(lo, hi, vocab.identifier_index(hit[0]), vocab.type_index(m.entity_type))
+            MaskedTarget(lo + 1, hi + 1, vocab.identifier_index(hit[0]), vocab.type_index(m.entity_type))
         )
-    return MaskedInstance(doc.pmid, tuple(token_ids), tuple(targets))
-
-
-def frame_instance(inst: MaskedInstance, max_len: int) -> MaskedInstance:
-    """Add CLS/SEP, truncate to max_len keeping SEP final, shift targets."""
-    ids = (CLS_ID,) + inst.token_ids + (SEP_ID,)
-    targets = [
-        MaskedTarget(t.token_start + 1, t.token_end + 1, t.identifier_index, t.type_index)
-        for t in inst.masked_targets
-    ]
-    if len(ids) > max_len:
-        ids = ids[: max_len - 1] + (SEP_ID,)
-        targets = [t for t in targets if t.token_end <= max_len - 1]
-    return MaskedInstance(inst.pmid, ids, tuple(targets))
+    missing = selected - masked
+    if missing:
+        raise ValueError(f"selected identifiers with no mention in {doc.pmid}: {sorted(missing)}")
+    ids = frame(token_ids, max_len)
+    kept = [t for t in targets if t.token_end < len(ids)]
+    if kept and len(kept) < len(targets):
+        log.warning("masking truncate pmid=%s dropped=%d kept=%d", doc.pmid, len(targets) - len(kept), len(kept))
+    return MaskedInstance(doc.pmid, ids, tuple(kept))
 
 
 def _document_rng(base_seed: int, epoch_seed: int, pmid: str) -> np.random.Generator:
@@ -130,7 +128,7 @@ def build_pretraining_instances(
     vocab: Vocabulary,
     cfg: MaskingConfig,
     epoch_seed: int,
-    max_len: int = 512,
+    max_len: int = MAX_LEN,
 ) -> list[MaskedInstance]:
     """One framed masked instance per eligible document, fully seed-determined."""
     instances: list[MaskedInstance] = []
@@ -140,15 +138,10 @@ def build_pretraining_instances(
             continue
         rng = _document_rng(cfg.seed, epoch_seed, doc.pmid)
         selected = select_masked_identifiers(doc, rng, cfg)
-        tok = tokenize_document(doc, vocab)
-        masked = apply_entity_mask(tok, doc, selected, vocab)
-        inst = frame_instance(masked, max_len)
-        kept, dropped = len(inst.masked_targets), len(masked.masked_targets) - len(inst.masked_targets)
-        if not kept:
+        inst = apply_entity_mask(tokenize_document(doc, vocab), doc, selected, vocab, max_len)
+        if not inst.masked_targets:  # every selected identifier has a mention, so the frame cut them
             log.warning("masking skip pmid=%s reason=targets-truncated-away", doc.pmid)
             continue
-        if dropped:
-            log.warning("masking truncate pmid=%s dropped=%d kept=%d", doc.pmid, dropped, kept)
         instances.append(inst)
     return instances
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, parameter
 from .masking import MaskedInstance
-from .tokenizer import PAD_ID, Vocabulary
+from .tokenizer import MAX_LEN, PAD_ID, Vocabulary
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
@@ -33,7 +33,7 @@ class EncoderConfig:
     n_layers: int = 2
     n_heads: int = 4
     ffn_dim: int = 512
-    max_len: int = 512
+    max_len: int = MAX_LEN
     dropout: float = 0.1
     precision: str = "float32"
 

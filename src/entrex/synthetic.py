@@ -35,6 +35,9 @@ _RELATION_PATTERNS = {
 }
 _NOVELTY_TAILS = {"Novel": "as a new finding .", "No": "as previously reported ."}
 
+_P_COMPOSITE = 0.15     # random_document's chance of a mention of two same-type identifiers
+_P_NULL_MENTION = 0.15  # and of a mention with the null identifier
+
 
 def _compose(parts: list) -> tuple[str, list[Mention]]:
     """Join words and mention specs into text, computing mention offsets.
@@ -92,8 +95,6 @@ def random_document(
     max_identifiers: int = 6,
     max_mentions_per_identifier: int = 3,
     p_relation: float = 0.4,
-    p_null_mention: float = 0.15,
-    p_composite: float = 0.15,
 ) -> Document:
     """Generate one structurally valid document with seeded randomness."""
     k = int(rng.integers(min_identifiers, max_identifiers + 1))
@@ -117,11 +118,11 @@ def random_document(
     for ident in identifiers:
         by_type.setdefault(types[ident], []).append(ident)
     same_type = [ids for ids in by_type.values() if len(ids) >= 2]
-    if same_type and rng.random() < p_composite:
+    if same_type and rng.random() < _P_COMPOSITE:
         group = same_type[int(rng.integers(len(same_type)))]
         pair = list(rng.choice(group, size=2, replace=False))
         mention_specs.append((_pseudo_word(rng), types[pair[0]], tuple(pair)))
-    if rng.random() < p_null_mention:
+    if rng.random() < _P_NULL_MENTION:
         mention_specs.append((_pseudo_word(rng), str(rng.choice(_ENTITY_TYPES)), ("-",)))
     order = rng.permutation(len(mention_specs))
     mention_specs = [mention_specs[i] for i in order]

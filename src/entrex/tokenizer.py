@@ -3,12 +3,17 @@
 Tokenization is word level: lower-cased runs of word characters plus
 single punctuation characters, with extra token boundaries forced at
 every mention start and end so mentions always align to whole tokens.
+
+Every encoder input (a tagged pair here, a masked document in ``masking``)
+is framed by :func:`frame`: CLS + the first ``max_len - 2`` body tokens +
+SEP, so body token ``i`` sits at framed offset ``i + 1``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -28,10 +33,13 @@ from .corpus import (
 SPECIAL_TOKENS = ("[CLS]", "[SEP]", "[PAD]", "[UNK]", "[MASK]")
 CLS_ID, SEP_ID, PAD_ID, UNK_ID, MASK_ID = range(5)
 NOVELTY_LABELS = (NO_NOVELTY_LABEL, "No", "Novel")
+MAX_LEN = 512  # default encoder input length, CLS and SEP included
 
 VOCAB_FORMAT_VERSION = 1
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+log = logging.getLogger(__name__)
 
 
 def _tag_token(role: str, entity_type: str, close: bool) -> str:
@@ -237,23 +245,27 @@ def build_vocab(corpus: Sequence[Document], min_freq: int = 1) -> Vocabulary:
     )
 
 
+def frame(body: Sequence[int], max_len: int) -> tuple[int, ...]:
+    """CLS + body + SEP, keeping only the first ``max_len - 2`` body tokens."""
+    if max_len < 2:
+        raise ValueError(f"max_len must be >= 2 to hold CLS and SEP, got {max_len}")
+    return (CLS_ID, *body[: max_len - 2], SEP_ID)
+
+
 def insert_pair_tags(
     tok: TokenizedDocument,
     doc: Document,
     src_id: str,
     tgt_id: str,
     vocab: Vocabulary,
-    max_len: int = 512,
+    max_len: int = MAX_LEN,
 ) -> tuple[int, ...]:
-    """CLS + tokens with SRC/TGT tags around every mention of the pair + SEP.
+    """The framed tokens with SRC/TGT tags around every mention of the pair.
 
-    A mention carrying both identifiers gets SRC tags.  Output longer
-    than max_len is prefix-truncated with SEP kept final.
+    A mention carrying both identifiers gets SRC tags.  Tags that the
+    frame cuts off are counted in a ``pair-tags truncate`` warning.
     """
-    known = doc.mention_identifiers()
-    for ident in (src_id, tgt_id):
-        if ident not in known:
-            raise ValueError(f"identifier {ident!r} not present in document {doc.pmid}")
+    tagged: set[str] = set()  # identifiers of the tagged mentions
     opens: dict[int, list[int]] = {}
     closes: dict[int, list[int]] = {}
     for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
@@ -263,15 +275,22 @@ def insert_pair_tags(
             role = "TGT"
         else:
             continue
+        tagged.update(m.identifiers)
         opens.setdefault(lo, []).append(vocab.tag_id(role, m.entity_type, close=False))
         closes.setdefault(hi, []).append(vocab.tag_id(role, m.entity_type, close=True))
-    out = [CLS_ID]
+    for ident in (src_id, tgt_id):
+        if ident not in tagged:
+            raise ValueError(f"identifier {ident!r} not present in document {doc.pmid}")
+    body: list[int] = []
     for j in range(len(tok.token_ids) + 1):
-        out.extend(closes.get(j, ()))
+        body.extend(closes.get(j, ()))
         if j < len(tok.token_ids):
-            out.extend(opens.get(j, ()))
-            out.append(tok.token_ids[j])
-    out.append(SEP_ID)
-    if len(out) > max_len:
-        out = out[: max_len - 1] + [SEP_ID]
-    return tuple(out)
+            body.extend(opens.get(j, ()))
+            body.append(tok.token_ids[j])
+    out = frame(body, max_len)
+    if len(out) - 2 < len(body):
+        tags = vocab.tag_ids()
+        lost = sum(1 for t in body[len(out) - 2 :] if t in tags)
+        if lost:
+            log.warning("pair-tags truncate pmid=%s src=%s tgt=%s lost=%d", doc.pmid, src_id, tgt_id, lost)
+    return out

@@ -7,6 +7,16 @@ checks.  All checks run in 64-bit.
 
 import numpy as np
 
+from entrex import autograd as ag
+from entrex.autograd import Tensor
+
+
+def mean_all(x: Tensor) -> Tensor:
+    """The mean of every element of ``x``, a scalar built from reshape and matmul."""
+    n = x.data.size
+    column = Tensor(np.full((n, 1), 1.0 / n, dtype=x.data.dtype))
+    return ag.reshape(ag.matmul(ag.reshape(x, (1, n)), column), ())
+
 
 def finite_difference_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central differences of the scalar ``loss_fn()`` w.r.t. ``x`` (in place)."""

@@ -3,17 +3,27 @@
 import numpy as np
 import pytest
 
-from entrex.corpus import Document, Mention, parse_pubtator
+from entrex.corpus import Document, Mention, candidate_pairs, parse_pubtator
 from entrex.masking import (
+    MaskedInstance,
+    MaskedTarget,
     MaskingConfig,
+    _document_rng,
     apply_entity_mask,
     build_pretraining_instances,
-    frame_instance,
     render_mask_preview,
     select_masked_identifiers,
 )
 from entrex.synthetic import random_document
-from entrex.tokenizer import CLS_ID, MASK_ID, SEP_ID, build_vocab, tokenize_document
+from entrex.tokenizer import (
+    CLS_ID,
+    MASK_ID,
+    MAX_LEN,
+    SEP_ID,
+    build_vocab,
+    insert_pair_tags,
+    tokenize_document,
+)
 
 
 def _rng(seed=0):
@@ -75,10 +85,11 @@ def test_config_validation():
 
 
 def test_apply_empty_selection_is_identity():
+    """Nothing is masked: the instance is the document's tokens, framed."""
     doc, vocab = _doc_and_vocab(4)
     tok = tokenize_document(doc, vocab)
-    inst = apply_entity_mask(tok, doc, set(), vocab)
-    assert inst.token_ids == tok.token_ids
+    inst = apply_entity_mask(tok, doc, set(), vocab, MAX_LEN)
+    assert inst.token_ids == (CLS_ID, *tok.token_ids, SEP_ID)
     assert inst.masked_targets == ()
 
 
@@ -93,7 +104,7 @@ def test_apply_masks_every_mention_of_identifier():
     doc = parse_pubtator(text)[0]
     vocab = build_vocab([doc])
     tok = tokenize_document(doc, vocab)
-    inst = apply_entity_mask(tok, doc, {"G1", "C1"}, vocab)
+    inst = apply_entity_mask(tok, doc, {"G1", "C1"}, vocab, MAX_LEN)
     # G1 has 2 single-token mentions, C1 one 3-token mention
     assert len(inst.masked_targets) == 3
     assert sum(1 for t in inst.token_ids if t == MASK_ID) == 5
@@ -102,8 +113,8 @@ def test_apply_masks_every_mention_of_identifier():
 def test_apply_rejects_unknown_identifier():
     doc, vocab = _doc_and_vocab(5)
     tok = tokenize_document(doc, vocab)
-    with pytest.raises(ValueError):
-        apply_entity_mask(tok, doc, {"NOPE"}, vocab)
+    with pytest.raises(ValueError, match=r"no mention in 1: \['NOPE'\]"):
+        apply_entity_mask(tok, doc, {"NOPE", doc.groundable_identifiers()[0]}, vocab, MAX_LEN)
 
 
 def test_mask_position_set_oracle():
@@ -114,12 +125,12 @@ def test_mask_position_set_oracle():
         vocab = build_vocab([doc])
         tok = tokenize_document(doc, vocab)
         selected = select_masked_identifiers(doc, rng, MaskingConfig(threshold=0.4))
-        inst = apply_entity_mask(tok, doc, selected, vocab)
+        inst = apply_entity_mask(tok, doc, selected, vocab, MAX_LEN)
 
         expected = set()
         for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
             if any(i in selected for i in m.identifiers):
-                expected.update(range(lo, hi))
+                expected.update(range(lo + 1, hi + 1))  # framed: CLS comes first
         got = {j for j, t in enumerate(inst.token_ids) if t == MASK_ID}
         assert got == expected
         # one target per masked mention, identifier taken from the selection
@@ -131,16 +142,17 @@ def test_mask_position_set_oracle():
             assert vocab.identifier_labels[t.identifier_index] in selected
 
 
-def test_frame_instance_shifts_targets():
+def test_apply_frames_and_shifts_targets():
     doc, vocab = _doc_and_vocab(6)
     tok = tokenize_document(doc, vocab)
     selected = select_masked_identifiers(doc, _rng(1), MaskingConfig(threshold=0.5))
-    inst = apply_entity_mask(tok, doc, selected, vocab)
-    framed = frame_instance(inst, max_len=512)
-    assert framed.token_ids[0] == CLS_ID and framed.token_ids[-1] == SEP_ID
-    for t0, t1 in zip(inst.masked_targets, framed.masked_targets):
-        assert (t1.token_start, t1.token_end) == (t0.token_start + 1, t0.token_end + 1)
-        assert all(framed.token_ids[j] == MASK_ID for j in range(t1.token_start, t1.token_end))
+    inst = apply_entity_mask(tok, doc, selected, vocab, MAX_LEN)
+    assert inst.token_ids[0] == CLS_ID and inst.token_ids[-1] == SEP_ID
+    assert len(inst.token_ids) == len(tok.token_ids) + 2
+    masked = [(lo, hi) for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges) if set(m.identifiers) & selected]
+    assert [(t.token_start, t.token_end) for t in inst.masked_targets] == [(lo + 1, hi + 1) for lo, hi in masked]
+    for t in inst.masked_targets:
+        assert all(inst.token_ids[j] == MASK_ID for j in range(t.token_start, t.token_end))
 
 
 def test_build_instances_deterministic():
@@ -261,3 +273,72 @@ def test_preview_renders_the_trained_targets():
         text = lines[2].removeprefix("text: ")
         assert text.count("[") == len(expected)
         assert text.replace("[", "").replace("]", "") == doc.full_text
+
+
+def _framed_pair_tags_formula(tok, doc, src, tgt, vocab, max_len):
+    """Pair tagging as written before framing had one owner."""
+    opens, closes = {}, {}
+    for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
+        role = "SRC" if src in m.identifiers else "TGT" if tgt in m.identifiers else None
+        if role:
+            opens.setdefault(lo, []).append(vocab.tag_id(role, m.entity_type))
+            closes.setdefault(hi, []).append(vocab.tag_id(role, m.entity_type, close=True))
+    out = [CLS_ID]
+    for j in range(len(tok.token_ids) + 1):
+        out.extend(closes.get(j, ()))
+        if j < len(tok.token_ids):
+            out.extend(opens.get(j, ()))
+            out.append(tok.token_ids[j])
+    out.append(SEP_ID)
+    if len(out) > max_len:
+        out = out[: max_len - 1] + [SEP_ID]
+    return tuple(out)
+
+
+def _framed_instance_formula(tok, doc, selected, vocab, max_len):
+    """Masking then framing as written before framing had one owner."""
+    ids = list(tok.token_ids)
+    targets = []
+    for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
+        hit = sorted(set(m.identifiers) & selected)
+        if hit:
+            ids[lo:hi] = [MASK_ID] * (hi - lo)
+            targets.append(MaskedTarget(lo, hi, vocab.identifier_index(hit[0]), vocab.type_index(m.entity_type)))
+    framed = (CLS_ID,) + tuple(ids) + (SEP_ID,)
+    shifted = [MaskedTarget(t.token_start + 1, t.token_end + 1, t.identifier_index, t.type_index) for t in targets]
+    if len(framed) > max_len:
+        framed = framed[: max_len - 1] + (SEP_ID,)
+        shifted = [t for t in shifted if t.token_end <= max_len - 1]
+    return MaskedInstance(doc.pmid, framed, tuple(shifted))
+
+
+@pytest.mark.parametrize("max_len", [8, 16, 40, 512])
+def test_every_encoder_input_follows_the_framing_rule(max_len):
+    """Tagged pairs and pretraining instances: CLS first, SEP last, at most
+    max_len long, equal to the earlier formulas; targets inside the body,
+    over MASK ids only."""
+    rng = _rng(41)
+    corpus = [random_document(rng, str(i), min_identifiers=2, max_identifiers=12) for i in range(12)]
+    vocab = build_vocab(corpus)
+    cfg = MaskingConfig(threshold=0.4, seed=5)
+    instances = {i.pmid: i for i in build_pretraining_instances(corpus, vocab, cfg, 3, max_len)}
+    for doc in corpus:
+        tok = tokenize_document(doc, vocab)
+        for pair in candidate_pairs(doc):
+            ids = insert_pair_tags(tok, doc, pair.src_id, pair.tgt_id, vocab, max_len)
+            assert ids[0] == CLS_ID and ids[-1] == SEP_ID and len(ids) <= max_len
+            assert ids == _framed_pair_tags_formula(tok, doc, pair.src_id, pair.tgt_id, vocab, max_len)
+        if len(doc.groundable_identifiers()) < 2:
+            assert doc.pmid not in instances
+            continue
+        selected = select_masked_identifiers(doc, _document_rng(cfg.seed, 3, doc.pmid), cfg)
+        expected = _framed_instance_formula(tok, doc, selected, vocab, max_len)
+        if not expected.masked_targets:
+            assert doc.pmid not in instances
+            continue
+        inst = instances[doc.pmid]
+        assert inst == expected
+        assert inst.token_ids[0] == CLS_ID and inst.token_ids[-1] == SEP_ID and len(inst.token_ids) <= max_len
+        for t in inst.masked_targets:
+            assert 1 <= t.token_start < t.token_end <= len(inst.token_ids) - 1
+            assert all(inst.token_ids[j] == MASK_ID for j in range(t.token_start, t.token_end))

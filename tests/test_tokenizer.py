@@ -1,5 +1,7 @@
 """Vocabulary construction, tokenization alignment, and pair-tag tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from entrex.tokenizer import (
     UNK_ID,
     Vocabulary,
     build_vocab,
+    frame,
     insert_pair_tags,
     load_vocab,
     save_vocab,
@@ -204,8 +207,10 @@ def test_shared_mention_gets_src_tags():
 def test_insert_pair_tags_unknown_identifier(tagged_doc):
     doc, vocab = tagged_doc
     tok = tokenize_document(doc, vocab)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'NOPE' not present in document 8"):
         insert_pair_tags(tok, doc, "G1", "NOPE", vocab)
+    with pytest.raises(ValueError, match="'NOPE' not present in document 8"):
+        insert_pair_tags(tok, doc, "NOPE", "C1", vocab)
 
 
 def test_tag_insertion_preserves_token_order():
@@ -232,3 +237,39 @@ def test_truncation_keeps_sep_final(tagged_doc):
     assert seq[-1] == SEP_ID
     full = insert_pair_tags(tok, doc, "G1", "C1", vocab)
     assert seq[:7] == full[:7]
+
+
+def test_frame_wraps_and_cuts_the_body():
+    assert frame([7, 8, 9], 5) == (CLS_ID, 7, 8, 9, SEP_ID)
+    assert frame([7, 8, 9], 4) == (CLS_ID, 7, 8, SEP_ID)
+    assert frame([7, 8, 9], 2) == (CLS_ID, SEP_ID)
+    assert frame([], 2) == (CLS_ID, SEP_ID)
+
+
+@pytest.mark.parametrize("max_len", [1, 0, -1])
+def test_frame_rejects_max_len_below_two(max_len):
+    with pytest.raises(ValueError, match="max_len"):
+        frame([7, 8, 9], max_len)
+
+
+def test_pair_tags_lost_to_truncation_are_logged(caplog):
+    """One warning per pair whose frame cuts tags, with the number cut; the
+    tags cut are those after the first max_len - 2 tokens of the full body."""
+    doc = random_document(np.random.default_rng(5), "77", min_identifiers=30, max_identifiers=30)
+    vocab = build_vocab([doc])
+    tok = tokenize_document(doc, vocab)
+    tag_ids = vocab.tag_ids()
+    max_len = 60
+    expected = []
+    for src, tgt in itertools.combinations(doc.groundable_identifiers(), 2):
+        body = insert_pair_tags(tok, doc, src, tgt, vocab, max_len=4096)[1:-1]
+        lost = sum(1 for t in body[max_len - 2 :] if t in tag_ids)
+        if lost:
+            expected.append(f"pair-tags truncate pmid=77 src={src} tgt={tgt} lost={lost}")
+    n_pairs = len(doc.groundable_identifiers()) * (len(doc.groundable_identifiers()) - 1) // 2
+    assert 0 < len(expected) < n_pairs  # some pairs lose tags, some lose none
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="entrex.tokenizer"):
+        for src, tgt in itertools.combinations(doc.groundable_identifiers(), 2):
+            insert_pair_tags(tok, doc, src, tgt, vocab, max_len=max_len)
+    assert [r.getMessage() for r in caplog.records] == expected
