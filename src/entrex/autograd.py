@@ -189,27 +189,29 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         _accumulate(x, s * (g - dot), owned=True)
 
     return _make(s, (x,), backward)
 
 
-def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    mean = x.data.mean(axis=axis, keepdims=True)
-    var = x.data.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+def layer_norm(x: Tensor) -> Tensor:
+    """Normalization over the last axis with eps 1e-5, without gain or bias."""
+    mean = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mean) * inv
 
     def backward(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gx = (g - gm - xhat * (g * xhat).mean(axis=axis, keepdims=True)) * inv
+        gm = g.mean(axis=-1, keepdims=True)
+        gx = (g - gm - xhat * (g * xhat).mean(axis=-1, keepdims=True)) * inv
         _accumulate(x, gx, owned=True)
 
     return _make(xhat, (x,), backward)

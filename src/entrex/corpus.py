@@ -14,7 +14,8 @@ the PMID.  Every document invariant is checked when a :class:`Document`
 is constructed, so an invalid document cannot exist; its errors name the
 PMID plus the offending offsets or identifier pair.  Predicted relations,
 which come from outside a document, pass the same relation rules in
-:func:`validate_predictions`.
+:func:`validate_predictions`.  Neither kind may carry the reserved
+``NO_RELATION_LABEL``, which marks a candidate pair without a relation.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ NULL_IDENTIFIER = "-"            # unnormalized mention, excluded from pairing a
 NO_RELATION_LABEL = "None"       # reserved label for unannotated candidate pairs
 NO_NOVELTY_LABEL = "NoneClass"   # novelty label reserved for unannotated pairs
 NOVELTY_CLASSES = ("No", "Novel")
+NOVELTY_LABELS = (NO_NOVELTY_LABEL, *NOVELTY_CLASSES)
 
 
 class CorpusError(ValueError):
@@ -172,14 +174,16 @@ def check_relations(
 ) -> None:
     """The relation rules, for one document's relations (gold or predicted).
 
-    No self-relation, no tab or line break in the relation type, a
-    novelty label in ``NOVELTY_CLASSES``, at most one relation per
-    unordered pair, and every endpoint in ``known`` (the identifiers that
-    have a mention).  ``what`` names the relations in the error, e.g.
-    ``"predicted relation"``.
+    No self-relation, a relation type that is not the reserved
+    ``NO_RELATION_LABEL`` and holds no tab or line break, a novelty label
+    in ``NOVELTY_CLASSES``, at most one relation per unordered pair, and
+    every endpoint in ``known`` (the identifiers that have a mention).
+    ``what`` names the relations in the error, e.g. ``"predicted relation"``.
     """
     seen_pairs: set[tuple[str, str]] = set()
     for r in relations:
+        if r.relation_type == NO_RELATION_LABEL:
+            raise CorpusError(f"{what} type {NO_RELATION_LABEL!r} is reserved for unrelated pairs", pmid=pmid)
         if _breaks(r.relation_type):
             raise CorpusError(f"{what} type {r.relation_type!r} holds a tab or line break", pmid=pmid)
         if r.id_a == r.id_b:

@@ -38,6 +38,9 @@ class EncoderConfig:
     precision: str = "float32"
 
     def __post_init__(self):
+        for name in ("d_model", "n_layers", "n_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_len < 8:
@@ -140,11 +143,14 @@ class RelationModel:
         return {k: v.data.copy() for k, v in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray], transfer_only: bool = False) -> None:
-        """Overwrite parameters from arrays; shapes must match.
+        """Overwrite parameters from arrays; names and shapes must match.
 
         With ``transfer_only`` the head parameters are skipped: encoder
         and embedding weights transfer while heads keep their fresh init.
         """
+        unknown = sorted(set(arrays) - self.params.keys())
+        if unknown:
+            raise ValueError(f"checkpoint has parameters the model lacks: {unknown}")
         for name, p in self.params.items():
             if transfer_only and name.startswith("head."):
                 continue
@@ -175,7 +181,7 @@ class RelationModel:
         kt = ag.transpose(ag.reshape(k, (n, h, dh)), (1, 2, 0))  # [h, dh, n]
         v = ag.transpose(ag.reshape(v, (n, h, dh)), (1, 0, 2))
         scores = ag.scale(ag.matmul(q, kt), 1.0 / math.sqrt(dh))
-        weights = ag.softmax(scores, axis=-1)
+        weights = ag.softmax(scores)
         ctx = ag.matmul(weights, v)  # [h, m, dh]
         ctx = ag.reshape(ag.transpose(ctx, (1, 0, 2)), (m, d))
         return _linear(ctx, p[f"enc{i}.attn.wo"], p[f"enc{i}.attn.bo"])
@@ -198,7 +204,7 @@ class RelationModel:
         LayerNorm run on that row.  It equals row 0 of the full result;
         in training mode dropout masks are drawn for that row only.
         """
-        ids = np.asarray(token_ids, dtype=np.int64)
+        ids = np.asarray(token_ids)
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError(f"token_ids must be a non-empty 1-D sequence, got shape {ids.shape}")
         if ids.size > self.cfg.max_len:

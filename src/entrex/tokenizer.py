@@ -20,19 +20,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
-from .corpus import (
-    NO_NOVELTY_LABEL,
-    NO_RELATION_LABEL,
-    NULL_IDENTIFIER,
-    Document,
-    Mention,
-)
+from .corpus import NO_RELATION_LABEL, NOVELTY_LABELS, Document, Mention
 
 SPECIAL_TOKENS = ("[CLS]", "[SEP]", "[PAD]", "[UNK]", "[MASK]")
 CLS_ID, SEP_ID, PAD_ID, UNK_ID, MASK_ID = range(5)
-NOVELTY_LABELS = (NO_NOVELTY_LABEL, "No", "Novel")
 MAX_LEN = 512  # default encoder input length, CLS and SEP included
 
 VOCAB_FORMAT_VERSION = 1
@@ -58,13 +51,17 @@ def tag_tokens_for_types(type_labels: Iterable[str]) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token ids plus the label spaces for identifiers, types, relations, novelty."""
+    """Token ids plus the label spaces for identifiers, types, relations, novelty.
+
+    The novelty space, ``corpus.NOVELTY_LABELS``, is the same for every
+    corpus: a class attribute, written to JSON and checked on reading.
+    """
 
     tokens: tuple[str, ...]
     identifier_labels: tuple[str, ...]
     type_labels: tuple[str, ...]
     relation_labels: tuple[str, ...]
-    novelty_labels: tuple[str, ...] = NOVELTY_LABELS
+    novelty_labels: ClassVar[tuple[str, ...]] = NOVELTY_LABELS
 
     def __post_init__(self):
         if tuple(self.tokens[:5]) != SPECIAL_TOKENS:
@@ -73,24 +70,26 @@ class Vocabulary:
             raise ValueError("duplicate token in vocabulary")
         if not self.relation_labels or self.relation_labels[0] != NO_RELATION_LABEL:
             raise ValueError(f"relation label {NO_RELATION_LABEL!r} must sit at index 0")
-        if self.novelty_labels != NOVELTY_LABELS:
-            raise ValueError(f"novelty labels must be {NOVELTY_LABELS}")
 
     @cached_property
     def token_to_id(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.tokens)}
 
     @cached_property
-    def _identifier_to_index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.identifier_labels)}
+    def _label_to_index(self) -> dict[str, dict[str, int]]:
+        spaces = {
+            "identifier": self.identifier_labels,
+            "entity type": self.type_labels,
+            "relation label": self.relation_labels,
+            "novelty label": self.novelty_labels,
+        }
+        return {space: {t: i for i, t in enumerate(labels)} for space, labels in spaces.items()}
 
-    @cached_property
-    def _type_to_index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.type_labels)}
-
-    @cached_property
-    def _relation_to_index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.relation_labels)}
+    def _index(self, space: str, label: str) -> int:
+        try:
+            return self._label_to_index[space][label]
+        except KeyError:
+            raise KeyError(f"{space} {label!r} not in vocabulary") from None
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -99,28 +98,16 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
     def identifier_index(self, identifier: str) -> int:
-        try:
-            return self._identifier_to_index[identifier]
-        except KeyError:
-            raise KeyError(f"identifier {identifier!r} not in vocabulary") from None
+        return self._index("identifier", identifier)
 
     def type_index(self, entity_type: str) -> int:
-        try:
-            return self._type_to_index[entity_type]
-        except KeyError:
-            raise KeyError(f"entity type {entity_type!r} not in vocabulary") from None
+        return self._index("entity type", entity_type)
 
     def relation_index(self, label: str) -> int:
-        try:
-            return self._relation_to_index[label]
-        except KeyError:
-            raise KeyError(f"relation label {label!r} not in vocabulary") from None
+        return self._index("relation label", label)
 
     def novelty_index(self, label: str) -> int:
-        try:
-            return self.novelty_labels.index(label)
-        except ValueError:
-            raise KeyError(f"novelty label {label!r} not in vocabulary") from None
+        return self._index("novelty label", label)
 
     def tag_id(self, role: str, entity_type: str, close: bool = False) -> int:
         token = _tag_token(role, entity_type, close)
@@ -148,12 +135,13 @@ class Vocabulary:
         version = data.get("version")
         if version != VOCAB_FORMAT_VERSION:
             raise ValueError(f"unsupported vocabulary format version {version!r}")
+        if tuple(data["novelty_labels"]) != NOVELTY_LABELS:
+            raise ValueError(f"novelty labels must be {NOVELTY_LABELS}")
         return cls(
             tokens=tuple(data["tokens"]),
             identifier_labels=tuple(data["identifier_labels"]),
             type_labels=tuple(data["type_labels"]),
             relation_labels=tuple(data["relation_labels"]),
-            novelty_labels=tuple(data["novelty_labels"]),
         )
 
     def to_json(self) -> str:
@@ -224,13 +212,9 @@ def build_vocab(corpus: Sequence[Document], min_freq: int = 1) -> Vocabulary:
     relations: set[str] = set()
     for doc in corpus:
         counts.update(t for _, _, t in split_tokens(doc.full_text, doc.mentions))
-        for m in doc.mentions:
-            types.add(m.entity_type)
-            identifiers.update(i for i in m.identifiers if i != NULL_IDENTIFIER)
-        for r in doc.relations:
-            relations.add(r.relation_type)
-    if NO_RELATION_LABEL in relations:
-        raise ValueError(f"corpus uses the reserved relation label {NO_RELATION_LABEL!r}")
+        types.update(m.entity_type for m in doc.mentions)
+        identifiers.update(doc.groundable_identifiers())
+        relations.update(r.relation_type for r in doc.relations)
     type_labels = tuple(sorted(types))
     words = sorted(
         (t for t, c in counts.items() if c >= min_freq),

@@ -228,12 +228,21 @@ def test_write_unknown_identifier_rejected():
         ([("C1", "C1", "Bind", "No")], "self-relation"),
         ([("C1", "G1", "Bind", "Maybe")], "novelty"),
         ([("C1", "G1", "Bi\tnd", "No")], "tab or line break"),
+        ([("C1", "G1", "None", "Novel")], "'None' is reserved"),
     ],
 )
 def test_write_rejects_predictions_that_would_not_parse(relations, fragment):
     docs = parse_pubtator(SIMPLE_BLOCK)
     with pytest.raises(CorpusError, match=fragment) as exc:
         write_pubtator(docs, {"42": [RelationAnnotation(*r) for r in relations]})
+    assert exc.value.pmid == "42"
+
+
+def test_parse_rejects_the_reserved_relation_label():
+    """``None`` labels unannotated candidate pairs, so no gold relation carries it."""
+    text = SIMPLE_BLOCK.replace("\tBind\t", "\tNone\t")
+    with pytest.raises(CorpusError, match="'None' is reserved") as exc:
+        parse_pubtator(text)
     assert exc.value.pmid == "42"
 
 

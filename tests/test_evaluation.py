@@ -107,12 +107,25 @@ def test_predicted_endpoint_without_mention_rejected():
 
 @pytest.mark.parametrize(
     "relation, fragment",
-    [(("C1", "G1", "Bind", "Maybe"), "unknown novelty label 'Maybe'"), (("C1", "C1", "Bind", "No"), "self-relation")],
+    [
+        (("C1", "G1", "Bind", "Maybe"), "unknown novelty label 'Maybe'"),
+        (("C1", "C1", "Bind", "No"), "self-relation"),
+        (("C1", "G1", "None", "Novel"), "'None' is reserved"),
+    ],
 )
 def test_invalid_predicted_relation_rejected(relation, fragment):
     with pytest.raises(CorpusError, match=fragment) as err:
         evaluate(GOLD, {"1": _rels(relation)})
     assert err.value.pmid == "1"
+
+
+def test_match_counts_rejects_the_reserved_relation_label():
+    """A ``None`` relation is an unrelated pair, never a match at the pair level."""
+    none = RelationAnnotation("C1", "G1", "None", "Novel")
+    for gold, pred in (([], [("1", none)]), ([("1", none)], [])):
+        with pytest.raises(CorpusError, match="'None' is reserved") as err:
+            match_counts(gold, pred, MatchLevel.PAIR)
+        assert err.value.pmid == "1"
 
 
 def _reference_per_type(gold_pairs, pred_pairs):

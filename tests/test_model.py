@@ -47,6 +47,10 @@ def test_config_validation():
         EncoderConfig(d_model=10, n_heads=4)
     with pytest.raises(ValueError):
         EncoderConfig(max_len=4)
+    for name in ("d_model", "n_layers", "n_heads", "ffn_dim"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                EncoderConfig(**{name: value})
 
 
 def test_loss_weights_validation():
@@ -69,6 +73,11 @@ def test_encode_rejects_bad_input():
         model.encode(np.zeros(17, dtype=int))
     with pytest.raises(ValueError, match="out of range"):
         model.encode(np.array([10_000]))
+    for ids in ([0, 5.7, 6.2, 1], [0.0, 6.0, 1.0]):  # not truncated to integers
+        with pytest.raises(ValueError, match="integers"):
+            model.encode(ids)
+        with pytest.raises(ValueError, match="integers"):
+            model.finetune_forward(ids)
 
 
 def test_encode_rejects_pad():
@@ -361,6 +370,18 @@ def test_transfer_load_keeps_fresh_heads():
     model_b.load_state(model_a.state_arrays(), transfer_only=True)
     np.testing.assert_array_equal(model_b.params["emb.token"].data, model_a.params["emb.token"].data)
     np.testing.assert_array_equal(model_b.params["head.relation.w1"].data, before)
+
+
+def test_load_state_rejects_parameters_the_model_lacks():
+    deeper, _ = _tiny_model(seed=18, n_layers=2)
+    model, _ = _tiny_model(seed=19)
+    before = model.state_arrays()
+    with pytest.raises(ValueError, match=r"lacks: \['enc1\.attn\.bk'"):
+        model.load_state(deeper.state_arrays())
+    with pytest.raises(ValueError, match="enc1.ffn.w1"):
+        model.load_state(deeper.state_arrays(), transfer_only=True)
+    for name, value in before.items():  # nothing was loaded
+        np.testing.assert_array_equal(model.params[name].data, value)
 
 
 def test_state_snapshot_unchanged_by_adam_steps():

@@ -1,12 +1,13 @@
 """Vocabulary construction, tokenization alignment, and pair-tag tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from entrex.corpus import Document, Mention, parse_pubtator
-from entrex.synthetic import random_document
+from entrex.synthetic import fixture_train_corpus, random_document
 from entrex.tokenizer import (
     CLS_ID,
     MASK_ID,
@@ -85,6 +86,47 @@ def test_label_spaces():
     assert vocab.type_labels == ("Chemical", "Gene")
     assert vocab.relation_index("None") == 0
     assert vocab.novelty_index("NoneClass") == 0
+    assert vocab.novelty_index("Novel") == 2
+
+
+@pytest.mark.parametrize(
+    "lookup, message",
+    [
+        ("identifier_index", "identifier 'X9' not in vocabulary"),
+        ("type_index", "entity type 'X9' not in vocabulary"),
+        ("relation_index", "relation label 'X9' not in vocabulary"),
+        ("novelty_index", "novelty label 'X9' not in vocabulary"),
+    ],
+)
+def test_label_lookup_names_the_missing_label(lookup, message):
+    vocab = build_vocab(parse_pubtator(
+        "5|t|aa bb.\n5|a|cc dd.\n5\t0\t2\taa\tGene\tG1\n5\t7\t9\tcc\tChemical\tC1\n"
+    ))
+    with pytest.raises(KeyError) as exc:
+        getattr(vocab, lookup)("X9")
+    assert exc.value.args == (message,)
+
+
+def test_novelty_labels_are_fixed():
+    """The novelty space is a class attribute: no constructor sets it, and
+    a saved vocabulary with any other novelty space is refused."""
+    vocab = build_vocab([random_document(np.random.default_rng(3), "1")])
+    assert "novelty_labels" not in {f.name for f in dataclasses.fields(Vocabulary)}
+    with pytest.raises(TypeError):
+        Vocabulary(vocab.tokens, vocab.identifier_labels, vocab.type_labels, vocab.relation_labels,
+                   novelty_labels=vocab.novelty_labels)
+    data = vocab.to_json_dict()
+    assert data["novelty_labels"] == ["NoneClass", "No", "Novel"]
+    for other in (["NoneClass", "Novel", "No"], ["No", "Novel"]):
+        with pytest.raises(ValueError, match="novelty labels"):
+            Vocabulary.from_json_dict({**data, "novelty_labels": other})
+
+
+def test_fixture_vocab_digest_is_pinned():
+    """The fixture vocabulary and its saved form are the same as before the
+    novelty space and the label lookups were restructured."""
+    digest = build_vocab(fixture_train_corpus()).digest()
+    assert digest == "a89c6e3ce4010fbc751ad304839be296d9a5f7eca6cde5bc8ee64f7eeee0bfbc"
 
 
 def test_mention_boundary_forcing():
