@@ -6,6 +6,10 @@ backward closure plus parent links on the output tensor.  Calling
 accumulating gradients into every tensor that requires them.  The tape
 is rebuilt on each forward pass; tensors and tapes are single-threaded.
 
+Only an op with a parameter (``requires_grad``) among its inputs records
+a tape; an output computed from constants alone has none, and calling
+``backward()`` on it raises.
+
 A tensor owns its ``.grad``: no other tensor's gradient shares its memory,
 and later backward passes add into it in place.  Callers that keep a
 gradient past the next backward or optimizer step must copy it.
@@ -49,7 +53,9 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
-            return
+            raise ValueError(
+                "backward() needs a tape, but this tensor was computed from constants only"
+            )
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -167,7 +173,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), owned=True)
+            # With one row in a the sum over rows has one term: an exact outer product.
+            at = a.data.swapaxes(-1, -2)
+            gb = at * g if a.data.shape[-2] == 1 else at @ g
+            _accumulate(b, _unbroadcast(gb, b.data.shape), owned=True)
 
     return _make(out, (a, b), backward)
 
@@ -191,9 +200,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    # One buffer: shift, exponentiate and normalise in place.
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * s).sum(axis=-1, keepdims=True)

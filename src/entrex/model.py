@@ -10,6 +10,12 @@ weighted two-term cross-entropy loss.
 Because the fine-tuning heads read only CLS, ``finetune_forward`` encodes
 with ``cls_only``, which computes the final block for the CLS row alone
 (see ``encode``); the logits equal those of the full encoding.
+
+``train`` chooses between the two kinds of forward.  With ``train=True``
+a forward applies dropout and records the autograd tape through the
+parameters.  With ``train=False`` it is an inference forward: the same ops
+on the same arrays, but the weights are read as constants, so no tape is
+recorded and every intermediate is freed as soon as it is consumed.
 """
 
 from __future__ import annotations
@@ -165,12 +171,18 @@ class RelationModel:
 
     # --- forward ----------------------------------------------------------
 
-    def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
-        return ag.add(ag.mul(ag.layer_norm(x), self.params[f"{prefix}.g"]), self.params[f"{prefix}.b"])
+    def _weights(self, train: bool) -> dict[str, Tensor]:
+        """The parameters for a training forward, their arrays as constants otherwise."""
+        if train:
+            return self.params
+        return {name: Tensor(p.data) for name, p in self.params.items()}
 
-    def _attention(self, xq: Tensor, xn: Tensor, i: int) -> Tensor:
+    @staticmethod
+    def _layer_norm(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
+        return ag.add(ag.mul(ag.layer_norm(x), p[f"{prefix}.g"]), p[f"{prefix}.b"])
+
+    def _attention(self, xq: Tensor, xn: Tensor, p: dict[str, Tensor], i: int) -> Tensor:
         """Attention from the m query rows ``xq`` over the n rows of ``xn``: [m, d]."""
-        p = self.params
         m, n = xq.data.shape[0], xn.data.shape[0]
         h, d = self.cfg.n_heads, self.cfg.d_model
         dh = d // h
@@ -203,6 +215,9 @@ class RelationModel:
         from row 0 only, and its residual, dropout, FFN and the final
         LayerNorm run on that row.  It equals row 0 of the full result;
         in training mode dropout masks are drawn for that row only.
+
+        With ``train=False`` this is an inference forward: no dropout and
+        no tape, so the result has no parents and cannot be differentiated.
         """
         ids = np.asarray(token_ids)
         if ids.ndim != 1 or ids.size == 0:
@@ -211,7 +226,7 @@ class RelationModel:
             raise ValueError(f"sequence length {ids.size} exceeds max_len {self.cfg.max_len}")
         if (ids == PAD_ID).any():
             raise ValueError("token_ids contain PAD_ID; encode takes unpadded sequences")
-        p = self.params
+        p = self._weights(train)
         drop = self.cfg.dropout if train else 0.0
         if drop > 0 and rng is None:
             raise ValueError("training-mode encode needs an rng for dropout")
@@ -221,23 +236,23 @@ class RelationModel:
             ag.slice_rows(p["emb.pos"], 0, ids.size),
         )
         for i in range(self.cfg.n_layers):
-            xn = xq = self._layer_norm(x, f"enc{i}.ln1")
+            xn = xq = self._layer_norm(x, p, f"enc{i}.ln1")
             if cls_only and i == self.cfg.n_layers - 1:
                 x, xq = ag.slice_rows(x, 0, 1), ag.slice_rows(xn, 0, 1)
-            attn = self._attention(xq, xn, i)
+            attn = self._attention(xq, xn, p, i)
             if drop > 0:
                 attn = ag.dropout(attn, drop, rng)
             x = ag.add(x, attn)
-            h = _linear(self._layer_norm(x, f"enc{i}.ln2"), p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.b1"])
+            h = _linear(self._layer_norm(x, p, f"enc{i}.ln2"), p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.b1"])
             h = ag.gelu(h)
             h = _linear(h, p[f"enc{i}.ffn.w2"], p[f"enc{i}.ffn.b2"])
             if drop > 0:
                 h = ag.dropout(h, drop, rng)
             x = ag.add(x, h)
-        return self._layer_norm(x, "final.ln")
+        return self._layer_norm(x, p, "final.ln")
 
-    def _mlp_head(self, x: Tensor, name: str) -> Tensor:
-        p = self.params
+    @staticmethod
+    def _mlp_head(x: Tensor, p: dict[str, Tensor], name: str) -> Tensor:
         h = ag.gelu(_linear(x, p[f"head.{name}.w1"], p[f"head.{name}.b1"]))
         out = _linear(h, p[f"head.{name}.w2"], p[f"head.{name}.b2"])
         return ag.reshape(out, (out.data.shape[-1],))
@@ -248,9 +263,13 @@ class RelationModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Relation and novelty logits from the CLS representation."""
+        """Relation and novelty logits from the CLS representation.
+
+        With ``train=False`` this is an inference forward with no tape.
+        """
         cls = self.encode(pair_token_ids, train=train, rng=rng, cls_only=True)
-        return self._mlp_head(cls, "relation"), self._mlp_head(cls, "novelty")
+        p = self._weights(train)
+        return self._mlp_head(cls, p, "relation"), self._mlp_head(cls, p, "novelty")
 
     def pretrain_loss(
         self,
@@ -264,6 +283,7 @@ class RelationModel:
         target j's token span, so ``seg @ hidden`` holds the m mention
         representations; each head is then one linear layer and one
         row-wise cross-entropy, and the tape length does not depend on m.
+        With ``train=False`` this is an inference forward with no tape.
         """
         targets = instance.masked_targets
         if not targets:
@@ -277,7 +297,7 @@ class RelationModel:
                     f"invalid for a sequence of length {n}"
                 )
             seg[j, t.token_start:t.token_end] = 1.0 / (t.token_end - t.token_start)
-        p = self.params
+        p = self._weights(train)
         reprs = ag.matmul(Tensor(seg), self.encode(instance.token_ids, train=train, rng=rng))
         id_logits = _linear(reprs, p["head.identifier.w"], p["head.identifier.b"])
         ty_logits = _linear(reprs, p["head.type.w"], p["head.type.b"])

@@ -66,8 +66,10 @@ class Vocabulary:
     def __post_init__(self):
         if tuple(self.tokens[:5]) != SPECIAL_TOKENS:
             raise ValueError("special tokens must occupy ids 0..4")
-        if len(set(self.tokens)) != len(self.tokens):
-            raise ValueError("duplicate token in vocabulary")
+        for space, labels in {"token": self.tokens, **self._label_spaces()}.items():
+            dup = next((label for label, k in Counter(labels).items() if k > 1), None)
+            if dup is not None:
+                raise ValueError(f"duplicate {space} {dup!r} in vocabulary")
         if not self.relation_labels or self.relation_labels[0] != NO_RELATION_LABEL:
             raise ValueError(f"relation label {NO_RELATION_LABEL!r} must sit at index 0")
 
@@ -75,15 +77,20 @@ class Vocabulary:
     def token_to_id(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.tokens)}
 
-    @cached_property
-    def _label_to_index(self) -> dict[str, dict[str, int]]:
-        spaces = {
+    def _label_spaces(self) -> dict[str, tuple[str, ...]]:
+        return {
             "identifier": self.identifier_labels,
             "entity type": self.type_labels,
             "relation label": self.relation_labels,
             "novelty label": self.novelty_labels,
         }
-        return {space: {t: i for i, t in enumerate(labels)} for space, labels in spaces.items()}
+
+    @cached_property
+    def _label_to_index(self) -> dict[str, dict[str, int]]:
+        return {
+            space: {t: i for i, t in enumerate(labels)}
+            for space, labels in self._label_spaces().items()
+        }
 
     def _index(self, space: str, label: str) -> int:
         try:

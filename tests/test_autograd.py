@@ -37,6 +37,35 @@ class TestForwardValues:
         assert (s >= 0).all()
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 9, 9)])
+    def test_softmax_equals_the_straight_line_formula(self, shape, dtype):
+        """Forward and backward are bit-equal to the textbook formulas."""
+        rng = _rng(5)
+        data = (rng.standard_normal(shape) * 4).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        e = np.exp(data - data.max(axis=-1, keepdims=True))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        x = parameter(data)
+        s = ag.softmax(x)
+        s._backward_fn(g)
+        assert s.data.dtype == dtype
+        assert np.array_equal(s.data, expected)
+        assert np.array_equal(x.grad, expected * (g - (g * expected).sum(axis=-1, keepdims=True)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape, b_shape", [((1, 128), (128, 512)), ((4, 1, 32), (4, 32, 77))])
+    def test_matmul_one_row_weight_gradient_equals_the_product(self, a_shape, b_shape, dtype):
+        """With one row in a, b's gradient is the outer product, bit-equal to a.T @ g."""
+        rng = _rng(6)
+        a = Tensor(rng.standard_normal(a_shape).astype(dtype))
+        b = parameter(rng.standard_normal(b_shape).astype(dtype))
+        out = ag.matmul(a, b)
+        g = rng.standard_normal(out.data.shape).astype(dtype)
+        out._backward_fn(g)
+        assert b.grad.dtype == dtype
+        assert np.array_equal(b.grad, a.data.swapaxes(-1, -2) @ g)
+
     def test_layer_norm_of_constant_vector_is_zero(self):
         x = Tensor(np.full(6, 3.25))
         np.testing.assert_allclose(ag.layer_norm(x).data, 0.0, atol=1e-12)
@@ -140,6 +169,12 @@ class TestGradients:
         a, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 5)
         check_gradients(lambda: _project(ag.matmul(a, b), _rng(99)), {"a": a, "b": b})
 
+    def test_matmul_one_row(self):
+        rng = _rng(19)
+        for a_shape, b_shape in (((1, 4), (4, 3)), ((2, 1, 4), (2, 4, 3)), ((2, 1, 4), (4, 3))):
+            a, b = _rand(rng, *a_shape), _rand(rng, *b_shape)
+            check_gradients(lambda: _project(ag.matmul(a, b), _rng(99)), {"a": a, "b": b})
+
     def test_embedding_lookup(self):
         rng = _rng(16)
         table = _rand(rng, 6, 3)
@@ -229,6 +264,15 @@ class TestTapeMechanics:
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
             parameter(np.zeros(3)).backward()
+
+    def test_backward_requires_a_tape(self):
+        """A loss computed from constants only has no tape to walk."""
+        x = Tensor(np.array([1.0, 2.0]))
+        loss = mean_all(ag.mul(x, x))
+        assert not loss.requires_grad and loss._parents == ()
+        with pytest.raises(ValueError, match="computed from constants"):
+            loss.backward()
+        assert x.grad is None
 
     @pytest.mark.parametrize(
         "build",

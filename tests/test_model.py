@@ -157,8 +157,9 @@ def test_cls_only_forward_matches_full_encoding(n_layers):
     assert model.encode(ids, cls_only=True).data.shape == (1, 8)
 
     def full_path():
-        cls = ag.slice_rows(model.encode(ids), 0, 1)
-        return model._mlp_head(cls, "relation"), model._mlp_head(cls, "novelty")
+        cls = ag.slice_rows(model.encode(ids, train=True), 0, 1)
+        p = model.params
+        return model._mlp_head(cls, p, "relation"), model._mlp_head(cls, p, "novelty")
 
     def run(forward):
         rel, nov = forward()
@@ -170,7 +171,7 @@ def test_cls_only_forward_matches_full_encoding(n_layers):
             p.grad = None
         return rel.data, nov.data, grads
 
-    rel, nov, grads = run(lambda: model.finetune_forward(ids))
+    rel, nov, grads = run(lambda: model.finetune_forward(ids, train=True))
     rel_ref, nov_ref, grads_ref = run(full_path)
     np.testing.assert_allclose(rel, rel_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(nov, nov_ref, rtol=0, atol=1e-12)
@@ -252,9 +253,37 @@ def _tape_size(loss):
 
 def test_pretrain_loss_tape_size_independent_of_target_count():
     model, _ = _tiny_model(seed=9)
-    one = model.pretrain_loss(_instance([(2, 4, 1, 0)]))
-    four = model.pretrain_loss(_instance([(1, 2, 0, 0), (2, 4, 1, 1), (4, 5, 2, 0), (6, 9, 1, 1)]))
+    one = model.pretrain_loss(_instance([(2, 4, 1, 0)]), train=True)
+    four = model.pretrain_loss(
+        _instance([(1, 2, 0, 0), (2, 4, 1, 1), (4, 5, 2, 0), (6, 9, 1, 1)]), train=True
+    )
+    assert _tape_size(one) > len(model.params)
     assert _tape_size(one) == _tape_size(four)
+
+
+def test_inference_forward_equals_training_forward_without_a_tape():
+    """At dropout 0, train=False gives the train=True values bit for bit,
+    but reads the weights as constants: no parents, no gradient."""
+    model, _ = _tiny_model(seed=10, n_layers=2)
+    ids = np.array([0, 6, 9, 8, 7, 11, 1])
+    inst = _instance([(2, 4, 1, 0), (6, 8, 2, 1)])
+    pairs = [
+        (model.encode(ids), model.encode(ids, train=True)),
+        (model.encode(ids, cls_only=True), model.encode(ids, train=True, cls_only=True)),
+        *zip(model.finetune_forward(ids), model.finetune_forward(ids, train=True)),
+        (model.pretrain_loss(inst), model.pretrain_loss(inst, train=True)),
+    ]
+    for inference, training in pairs:
+        assert np.array_equal(inference.data, training.data)
+        assert training.requires_grad and training._parents
+        assert not inference.requires_grad and inference._parents == ()
+    loss = model.pretrain_loss(inst)
+    with pytest.raises(ValueError, match="computed from constants"):
+        loss.backward()
+    rel, nov = model.finetune_forward(ids)
+    with pytest.raises(ValueError, match="computed from constants"):
+        finetune_loss(rel, nov, 1, 2, LossWeights()).backward()
+    assert all(p.grad is None for p in model.params.values())
 
 
 def test_pretrain_loss_requires_targets():
@@ -304,7 +333,7 @@ def test_lambda_scales_novelty_gradient_exactly():
     ids = np.array([0, 6, 7, 1])
 
     def grads(weights):
-        rel, nov = model.finetune_forward(ids)
+        rel, nov = model.finetune_forward(ids, train=True)
         loss = finetune_loss(rel, nov, 1, 2, weights)
         loss.backward()
         out = {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
@@ -335,7 +364,7 @@ def test_end_to_end_finetune_gradient_check():
     ids = np.array([0, 6, 9, 8, 7, 1])
 
     def build():
-        rel, nov = model.finetune_forward(ids)
+        rel, nov = model.finetune_forward(ids, train=True)
         return finetune_loss(rel, nov, 2, 1, LossWeights())
 
     errors = check_gradients(build, model.finetune_parameters(), tol=1e-4)
@@ -347,7 +376,7 @@ def test_end_to_end_pretrain_gradient_check():
     inst = _instance([(2, 4, 1, 0), (6, 7, 0, 1)], length=9)
 
     def build():
-        return model.pretrain_loss(inst)
+        return model.pretrain_loss(inst, train=True)
 
     errors = check_gradients(build, model.pretrain_parameters(), tol=1e-4)
     assert max(errors.values()) < 1e-4
@@ -391,7 +420,7 @@ def test_state_snapshot_unchanged_by_adam_steps():
     state = AdamState(lr=0.1)
 
     def train_step():
-        rel, nov = model.finetune_forward(np.array([0, 6, 7, 1]))
+        rel, nov = model.finetune_forward(np.array([0, 6, 7, 1]), train=True)
         finetune_loss(rel, nov, 1, 2, LossWeights()).backward()
         adam_step(model.finetune_parameters(), state)
 

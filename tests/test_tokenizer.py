@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ def test_novelty_labels_are_fixed():
     for other in (["NoneClass", "Novel", "No"], ["No", "Novel"]):
         with pytest.raises(ValueError, match="novelty labels"):
             Vocabulary.from_json_dict({**data, "novelty_labels": other})
+
+
+@pytest.mark.parametrize(
+    "field, space",
+    [
+        ("tokens", "token"),
+        ("identifier_labels", "identifier"),
+        ("type_labels", "entity type"),
+        ("relation_labels", "relation label"),
+    ],
+)
+def test_duplicate_label_rejected(field, space):
+    """Each space holds a label once, whether built or read from JSON: a
+    repeated label would leave a head column that no target names."""
+    vocab = build_vocab(fixture_train_corpus())
+    labels = getattr(vocab, field)
+    assert len(labels) >= 2
+    doubled = (*labels, labels[1])
+    message = f"duplicate {space} {labels[1]!r} in vocabulary"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(vocab, **{field: doubled})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Vocabulary.from_json_dict({**vocab.to_json_dict(), field: list(doubled)})
 
 
 def test_fixture_vocab_digest_is_pinned():
