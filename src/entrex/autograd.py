@@ -200,7 +200,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    # One buffer: shift, exponentiate and normalise in place.
+    # Shift, exponentiate and normalise in one buffer: the same operations in
+    # the same order as with a temporary for each, but one allocation.
     s = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
