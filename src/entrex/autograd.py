@@ -173,10 +173,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), owned=True)
         if b.requires_grad:
-            # With one row in a the sum over rows has one term: an exact outer product.
-            at = a.data.swapaxes(-1, -2)
-            gb = at * g if a.data.shape[-2] == 1 else at @ g
-            _accumulate(b, _unbroadcast(gb, b.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), owned=True)
 
     return _make(out, (a, b), backward)
 

@@ -58,8 +58,8 @@ class TestForwardValues:
         "a_shape, b_shape", [((1, 128), (128, 512)), ((4, 1, 32), (4, 32, 77)), ((4, 1, 32), (32, 77))]
     )
     def test_matmul_one_row_weight_gradient_equals_the_product(self, a_shape, b_shape, dtype):
-        """With one row in a, b's gradient is the outer product, bit-equal to a.T @ g
-        (summed over the batch when b is broadcast)."""
+        """With one row in a, b's gradient is bit-equal to a.T @ g (summed over
+        the batch when b is broadcast)."""
         rng = _rng(6)
         a = Tensor(rng.standard_normal(a_shape).astype(dtype))
         b = parameter(rng.standard_normal(b_shape).astype(dtype))
