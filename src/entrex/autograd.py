@@ -22,19 +22,6 @@ import math
 import numpy as np
 
 
-class NumericsError(ArithmeticError):
-    """Non-finite value produced where a finite one is required."""
-
-
-_CHECK_FINITE = False
-
-
-def set_debug_check_finite(enabled: bool) -> None:
-    """Optional debug mode: raise as soon as any op emits a non-finite value."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = enabled
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
@@ -107,9 +94,6 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _CHECK_FINITE and not np.all(np.isfinite(data)):
-        op = backward_fn.__qualname__.split(".", 1)[0]
-        raise NumericsError(f"non-finite value in the forward pass of {op}")
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -248,8 +232,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; call only in training mode."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0,1), got {p}")
-    if p == 0.0:
-        return x
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
     keep = keep.astype(x.data.dtype)
     out = x.data * keep

@@ -177,7 +177,7 @@ def check_relations(
     No self-relation, a relation type that is not the reserved
     ``NO_RELATION_LABEL`` and holds no tab or line break, a novelty label
     in ``NOVELTY_CLASSES``, at most one relation per unordered pair, and
-    every endpoint in ``known`` (the identifiers that have a mention).
+    every endpoint a non-null identifier in ``known`` (those with a mention).
     ``what`` names the relations in the error, e.g. ``"predicted relation"``.
     """
     seen_pairs: set[tuple[str, str]] = set()
@@ -195,8 +195,20 @@ def check_relations(
             raise CorpusError(f"duplicate {what}s on pair {key}", pmid=pmid)
         seen_pairs.add(key)
         for endpoint in key:
+            if endpoint == NULL_IDENTIFIER:
+                raise CorpusError(f"{what} endpoint is the null identifier {NULL_IDENTIFIER!r}", pmid=pmid)
             if endpoint not in known:
                 raise CorpusError(f"{what} endpoint {endpoint!r} has no mention", pmid=pmid)
+
+
+def _documents_by_pmid(docs: Iterable[Document]) -> dict[str, Document]:
+    """The documents keyed by PMID; a repeated PMID raises, as the parser does."""
+    by_pmid: dict[str, Document] = {}
+    for doc in docs:
+        if doc.pmid in by_pmid:
+            raise CorpusError("duplicate document", doc.pmid)
+        by_pmid[doc.pmid] = doc
+    return by_pmid
 
 
 def validate_predictions(
@@ -204,11 +216,11 @@ def validate_predictions(
 ) -> None:
     """Check predicted relations against the documents they annotate.
 
-    Every PMID in ``predicted`` must name one of ``docs``, and each
-    document's predictions must pass :func:`check_relations`, the rules
-    a :class:`Document` applies to its own relations.
+    No two ``docs`` share a PMID, every PMID in ``predicted`` names one of
+    them, and each document's predictions pass :func:`check_relations`,
+    the rules a :class:`Document` applies to its own relations.
     """
-    by_pmid = {d.pmid: d for d in docs}
+    by_pmid = _documents_by_pmid(docs)
     for pmid, relations in predicted.items():
         doc = by_pmid.get(pmid)
         if doc is None:
@@ -318,11 +330,11 @@ def write_pubtator(
     gold relation lines are replaced by ``predicted[pmid]`` (documents
     absent from the map get no relation lines), after
     :func:`validate_predictions` has checked them, so the text written
-    always parses back.
+    always parses back.  In both modes a repeated PMID raises.
     """
     docs = list(docs)
     if predicted is None:
-        predicted = {doc.pmid: doc.relations for doc in docs}
+        predicted = {pmid: doc.relations for pmid, doc in _documents_by_pmid(docs).items()}
     else:
         validate_predictions(docs, predicted)
     blocks: list[str] = []

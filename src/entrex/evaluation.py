@@ -14,7 +14,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Collection, Mapping, Sequence
 
-from .corpus import Document, RelationAnnotation, check_relations, validate_predictions
+from .corpus import Document, RelationAnnotation, validate_predictions
 
 
 class MatchLevel(Enum):
@@ -38,35 +38,9 @@ def _full_key(pmid: str, rel: RelationAnnotation) -> tuple:
     return (pmid, rel.pair_key(), rel.relation_type, rel.novelty)
 
 
-def match_key(pmid: str, rel: RelationAnnotation, level: MatchLevel) -> tuple:
-    return _PROJECTIONS[level](_full_key(pmid, rel))
-
-
 def _counts(gold_keys: set, pred_keys: set) -> tuple[int, int, int]:
     tp = len(gold_keys & pred_keys)
     return tp, len(pred_keys) - tp, len(gold_keys) - tp
-
-
-def match_counts(
-    gold: Sequence[tuple[str, RelationAnnotation]],
-    pred: Sequence[tuple[str, RelationAnnotation]],
-    level: MatchLevel,
-) -> tuple[int, int, int]:
-    """(TP, FP, FN) under the level's match key.
-
-    Each side's relations must pass :func:`~entrex.corpus.check_relations`
-    per PMID, so no two of them share a pair, hence a key at any level.
-    With no document at hand, endpoints are not looked up.
-    """
-    key_sets = []
-    for what, pairs in (("gold relation", gold), ("predicted relation", pred)):
-        by_pmid: defaultdict[str, list[RelationAnnotation]] = defaultdict(list)
-        for pmid, rel in pairs:
-            by_pmid[pmid].append(rel)
-        for pmid, rels in by_pmid.items():
-            check_relations(pmid, rels, {i for r in rels for i in r.pair_key()}, what)
-        key_sets.append({match_key(pmid, rel, level) for pmid, rel in pairs})
-    return _counts(*key_sets)
 
 
 def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

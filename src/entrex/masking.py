@@ -145,41 +145,3 @@ def build_pretraining_instances(
         instances.append(inst)
     return instances
 
-
-def render_mask_preview(
-    instances: Sequence[MaskedInstance],
-    corpus: Sequence[Document],
-    vocab: Vocabulary,
-) -> str:
-    """Line-oriented preview of framed pretraining instances, as trained.
-
-    Per document: a ``pmid:`` line, a ``masked:`` line with the target
-    identifiers, a ``text:`` line with every target's character span
-    bracketed, then one tab-separated ``target`` line per masked target
-    (surface, identifier, type), in the instance's order.  Documents are
-    separated by blank lines; a document with no instance gets a single
-    ``skip`` line.
-    """
-    by_pmid = {inst.pmid: inst for inst in instances}
-    blocks: list[str] = []
-    for doc in corpus:
-        inst = by_pmid.get(doc.pmid)
-        if inst is None:
-            blocks.append(f"pmid: {doc.pmid}\nskip: no pretraining instance")
-            continue
-        spans = tokenize_document(doc, vocab).spans
-        # Framed token i is document token i - 1: CLS comes first.
-        chars = [(spans[t.token_start - 1][0], spans[t.token_end - 2][1]) for t in inst.masked_targets]
-        identifiers = [vocab.identifier_labels[t.identifier_index] for t in inst.masked_targets]
-        text = doc.full_text
-        for start, end in sorted(chars, reverse=True):
-            text = f"{text[:start]}[{text[start:end]}]{text[end:]}"
-        lines = [
-            f"pmid: {doc.pmid}",
-            f"masked: {' '.join(sorted(set(identifiers)))}",
-            f"text: {text}",
-        ]
-        for (start, end), ident, t in zip(chars, identifiers, inst.masked_targets):
-            lines.append(f"target\t{doc.full_text[start:end]}\t{ident}\t{vocab.type_labels[t.type_index]}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"

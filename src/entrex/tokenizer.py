@@ -202,17 +202,15 @@ def tokenize_document(doc: Document, vocab: Vocabulary) -> TokenizedDocument:
     return TokenizedDocument(token_ids, spans, ranges)
 
 
-def build_vocab(corpus: Sequence[Document], min_freq: int = 1) -> Vocabulary:
+def build_vocab(corpus: Sequence[Document]) -> Vocabulary:
     """Build the vocabulary and label spaces from a parsed corpus.
 
-    Word tokens with frequency >= min_freq are kept; ids are assigned by
-    descending frequency then lexicographic order, after the special and
-    tag tokens.  Rebuilding from the same corpus is byte-identical.
+    Every word of the corpus is kept, so none of them maps to UNK; ids
+    follow descending frequency then lexicographic order, after the special
+    and tag tokens.  Rebuilding from the same corpus is byte-identical.
     """
     if not corpus:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    if min_freq < 1:
-        raise ValueError("min_freq must be >= 1")
     counts: Counter[str] = Counter()
     identifiers: set[str] = set()
     types: set[str] = set()
@@ -223,10 +221,7 @@ def build_vocab(corpus: Sequence[Document], min_freq: int = 1) -> Vocabulary:
         identifiers.update(doc.groundable_identifiers())
         relations.update(r.relation_type for r in doc.relations)
     type_labels = tuple(sorted(types))
-    words = sorted(
-        (t for t, c in counts.items() if c >= min_freq),
-        key=lambda t: (-counts[t], t),
-    )
+    words = sorted(counts, key=lambda t: (-counts[t], t))
     tokens = tuple(SPECIAL_TOKENS) + tuple(tag_tokens_for_types(type_labels)) + tuple(words)
     return Vocabulary(
         tokens=tokens,

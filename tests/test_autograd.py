@@ -327,14 +327,6 @@ class TestTapeMechanics:
         assert results[0][0] == results[1][0]
         assert (results[0][1] == results[1][1]).all()
 
-    def test_debug_finite_check(self):
-        ag.set_debug_check_finite(True)
-        try:
-            with pytest.raises(ag.NumericsError, match="softmax"):
-                ag.softmax(Tensor(np.array([np.nan, 0.0])))
-        finally:
-            ag.set_debug_check_finite(False)
-
 
 class TestAdam:
     def test_zero_gradient_leaves_parameter_unchanged(self):

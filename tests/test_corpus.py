@@ -77,6 +77,8 @@ def test_multiple_blocks():
         (lambda t: t + "42\tBind\tC1\tG1\tNovel\n", "duplicate"),
         (lambda t: t.replace("C1\tG1\tNovel", "C1\tG1\tMaybe"), "novelty"),
         (lambda t: t.replace("Bind\tC1\tG1", "Bind\tC1\tZ9"), "no mention"),
+        # "-" has a mention, but no candidate pair holds it
+        (lambda t: t + "42\t0\t1\tA\tChemical\t-\n42\tBind\tC1\t-\tNovel\n", "null identifier '-'"),
         (lambda t: t.replace("42|a|", "42|x|"), "abstract"),
     ],
 )
@@ -229,6 +231,7 @@ def test_write_unknown_identifier_rejected():
         ([("C1", "G1", "Bind", "Maybe")], "novelty"),
         ([("C1", "G1", "Bi\tnd", "No")], "tab or line break"),
         ([("C1", "G1", "None", "Novel")], "'None' is reserved"),
+        ([("C1", "-", "Bind", "No")], "null identifier"),
     ],
 )
 def test_write_rejects_predictions_that_would_not_parse(relations, fragment):
@@ -244,6 +247,17 @@ def test_parse_rejects_the_reserved_relation_label():
     with pytest.raises(CorpusError, match="'None' is reserved") as exc:
         parse_pubtator(text)
     assert exc.value.pmid == "42"
+
+
+@pytest.mark.parametrize("predicted", [None, {}], ids=["own-relations", "predictions"])
+def test_write_rejects_a_repeated_pmid(predicted):
+    """Two blocks with one PMID would not parse back."""
+    doc = parse_pubtator(SIMPLE_BLOCK)[0]
+    same_pmid = dataclasses.replace(doc, relations=())
+    for docs in ([doc, doc], [doc, same_pmid]):
+        with pytest.raises(CorpusError, match="duplicate document") as exc:
+            write_pubtator(docs, predicted)
+        assert exc.value.pmid == "42"
 
 
 def _with_mention(doc, title=None, **changes):

@@ -1,4 +1,4 @@
-"""Four-level micro scoring: match keys, counts, conventions and input checks."""
+"""Four-level micro scoring: counts, conventions and input checks."""
 
 import itertools
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entrex.corpus import CorpusError, Document, Mention, RelationAnnotation, candidate_pairs
-from entrex.evaluation import MatchLevel, evaluate, match_counts, match_key, prf
+from entrex.evaluation import MatchLevel, evaluate, prf
 from entrex.synthetic import random_corpus
 
 
@@ -50,17 +50,6 @@ def test_four_levels_on_a_hand_built_set():
     assert per_type == {"Bind": (1, 3, 1), "Assoc": (0, 1, 1)}
 
 
-def test_match_key_ignores_endpoint_order_and_refines_by_level():
-    a = RelationAnnotation("G1", "C1", "Bind", "Novel")
-    b = RelationAnnotation("C1", "G1", "Bind", "Novel")
-    for level in MatchLevel:
-        assert match_key("7", a, level) == match_key("7", b, level)
-    assert match_key("7", a, MatchLevel.PAIR) == ("7", ("C1", "G1"))
-    assert match_key("7", a, MatchLevel.PAIR_TYPE) == ("7", ("C1", "G1"), "Bind")
-    assert match_key("7", a, MatchLevel.PAIR_NOVELTY) == ("7", ("C1", "G1"), "Novel")
-    assert match_key("7", a, MatchLevel.PAIR_TYPE_NOVELTY) == ("7", ("C1", "G1"), "Bind", "Novel")
-
-
 def test_prf_conventions():
     assert prf(0, 0, 0) == (1.0, 1.0, 1.0)
     assert prf(0, 3, 0) == (0.0, 0.0, 0.0)
@@ -89,8 +78,6 @@ def test_duplicate_predicted_relations_rejected():
     pred = {"1": _rels(("C1", "G1", "Bind", "No"), ("G1", "C1", "Bind", "Novel"))}
     with pytest.raises(ValueError, match="duplicate predicted relations"):
         evaluate(GOLD, pred)
-    with pytest.raises(ValueError, match="duplicate predicted relations"):
-        match_counts([], [("1", r) for r in pred["1"]], MatchLevel.PAIR_TYPE)
 
 
 def test_prediction_for_unknown_document_rejected():
@@ -111,6 +98,7 @@ def test_predicted_endpoint_without_mention_rejected():
         (("C1", "G1", "Bind", "Maybe"), "unknown novelty label 'Maybe'"),
         (("C1", "C1", "Bind", "No"), "self-relation"),
         (("C1", "G1", "None", "Novel"), "'None' is reserved"),
+        (("-", "C1", "Bind", "No"), "null identifier"),
     ],
 )
 def test_invalid_predicted_relation_rejected(relation, fragment):
@@ -119,20 +107,33 @@ def test_invalid_predicted_relation_rejected(relation, fragment):
     assert err.value.pmid == "1"
 
 
-def test_match_counts_rejects_the_reserved_relation_label():
-    """A ``None`` relation is an unrelated pair, never a match at the pair level."""
-    none = RelationAnnotation("C1", "G1", "None", "Novel")
-    for gold, pred in (([], [("1", none)]), ([("1", none)], [])):
-        with pytest.raises(CorpusError, match="'None' is reserved") as err:
-            match_counts(gold, pred, MatchLevel.PAIR)
+def test_repeated_document_pmid_rejected():
+    """Keyed by PMID, a second document would replace the first."""
+    same_pmid = _doc("1", ["X1", "Y1"])
+    for docs, pred in (([GOLD[0], GOLD[0]], {}), ([GOLD[0], same_pmid], {"1": GOLD[0].relations})):
+        with pytest.raises(CorpusError, match="duplicate document") as err:
+            evaluate(docs, pred)
         assert err.value.pmid == "1"
+
+
+def _reference_counts(gold_pairs, pred_pairs, level):
+    """(TP, FP, FN) by set arithmetic on the relation fields the level names."""
+
+    def key(pmid, r):
+        typed = r.relation_type if "type" in level.value else None
+        novelty = r.novelty if "novelty" in level.value else None
+        return pmid, frozenset((r.id_a, r.id_b)), typed, novelty
+
+    gold = {key(*p) for p in gold_pairs}
+    pred = {key(*p) for p in pred_pairs}
+    return len(gold & pred), len(pred - gold), len(gold - pred)
 
 
 def _reference_per_type(gold_pairs, pred_pairs):
     """Per-type counts by filtering both sides on the type and re-keying."""
     types = sorted({r.relation_type for _, r in gold_pairs} | {r.relation_type for _, r in pred_pairs})
     return {
-        t: match_counts(
+        t: _reference_counts(
             [(p, r) for p, r in gold_pairs if r.relation_type == t],
             [(p, r) for p, r in pred_pairs if r.relation_type == t],
             MatchLevel.PAIR_TYPE,
@@ -167,7 +168,7 @@ def test_counts_match_reference_on_random_predictions(seed):
     pred_pairs = [(p, r) for p, rels in predictions.items() for r in rels]
     for level in MatchLevel:
         m = report.levels[level]
-        assert (m.tp, m.fp, m.fn) == match_counts(gold_pairs, pred_pairs, level)
+        assert (m.tp, m.fp, m.fn) == _reference_counts(gold_pairs, pred_pairs, level)
     per_type = {t: (m.tp, m.fp, m.fn) for t, m in report.per_relation_type.items()}
     assert per_type == _reference_per_type(gold_pairs, pred_pairs)
     assert list(report.per_relation_type) == sorted(per_type)

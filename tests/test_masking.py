@@ -11,7 +11,6 @@ from entrex.masking import (
     _document_rng,
     apply_entity_mask,
     build_pretraining_instances,
-    render_mask_preview,
     select_masked_identifiers,
 )
 from entrex.synthetic import random_document
@@ -222,57 +221,6 @@ def test_at_least_one_identifier_unmasked():
                     vocab.identifier_labels[t.identifier_index] for t in inst.masked_targets
                 }
                 assert masked < set(doc.groundable_identifiers())
-
-
-def test_preview_is_stable_and_lists_targets():
-    doc, vocab = _doc_and_vocab(12, min_identifiers=3, max_identifiers=3)
-    cfg = MaskingConfig(threshold=0.5, seed=1)
-    a = render_mask_preview(build_pretraining_instances([doc], vocab, cfg, 0), [doc], vocab)
-    b = render_mask_preview(build_pretraining_instances([doc], vocab, cfg, 0), [doc], vocab)
-    assert a == b
-    assert a.startswith("pmid: 1\n")
-    assert "masked: " in a and "target\t" in a
-    assert "[" in a.split("text: ", 1)[1]
-
-
-def test_preview_renders_the_trained_targets():
-    """Target lines are the framed instance's targets, after truncation."""
-    rng = _rng(31)
-    corpus = [random_document(rng, str(i), min_identifiers=8, max_identifiers=12) for i in range(6)]
-    corpus.append(random_document(rng, "lonely", min_identifiers=1, max_identifiers=1))
-    vocab = build_vocab(corpus)
-    cfg = MaskingConfig(threshold=0.5, seed=2)
-    instances = build_pretraining_instances(corpus, vocab, cfg, epoch_seed=0, max_len=40)
-    untruncated = build_pretraining_instances(corpus, vocab, cfg, epoch_seed=0)
-    assert sum(len(i.masked_targets) for i in instances) < sum(
-        len(i.masked_targets) for i in untruncated
-    )
-    blocks = render_mask_preview(instances, corpus, vocab).rstrip("\n").split("\n\n")
-    by_pmid = {i.pmid: i for i in instances}
-    assert len(blocks) == len(corpus)
-    for doc, block in zip(corpus, blocks):
-        lines = block.split("\n")
-        assert lines[0] == f"pmid: {doc.pmid}"
-        if doc.pmid not in by_pmid:
-            assert lines[1:] == ["skip: no pretraining instance"]
-            continue
-        inst = by_pmid[doc.pmid]
-        tok = tokenize_document(doc, vocab)
-        # framed token ranges are shifted by one for CLS
-        surfaces = {(lo + 1, hi + 1): m.surface for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges)}
-        expected = [
-            (
-                surfaces[(t.token_start, t.token_end)],
-                vocab.identifier_labels[t.identifier_index],
-                vocab.type_labels[t.type_index],
-            )
-            for t in inst.masked_targets
-        ]
-        targets = [tuple(line.split("\t")[1:]) for line in lines if line.startswith("target\t")]
-        assert targets == expected
-        text = lines[2].removeprefix("text: ")
-        assert text.count("[") == len(expected)
-        assert text.replace("[", "").replace("]", "") == doc.full_text
 
 
 def _framed_pair_tags_formula(tok, doc, src, tgt, vocab, max_len):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrex import autograd as ag
 from entrex.autograd import Tensor
@@ -284,6 +286,45 @@ def test_inference_forward_equals_training_forward_without_a_tape():
     with pytest.raises(ValueError, match="computed from constants"):
         finetune_loss(rel, nov, 1, 2, LossWeights()).backward()
     assert all(p.grad is None for p in model.params.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_heads=st.sampled_from([1, 2, 4]),
+    head_dim=st.integers(1, 4),
+    n_layers=st.integers(1, 3),
+    ffn_dim=st.integers(1, 24),
+    max_len=st.integers(8, 24),
+    precision=st.sampled_from(["float32", "float64"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_inference_forward_equals_training_forward_over_random_configs(
+    n_heads, head_dim, n_layers, ffn_dim, max_len, precision, seed, data
+):
+    """The bit-for-bit equality above, over small configs and lengths."""
+    model, vocab = _tiny_model(
+        seed, d_model=n_heads * head_dim, n_heads=n_heads, n_layers=n_layers,
+        ffn_dim=ffn_dim, max_len=max_len, precision=precision,
+    )
+    n = data.draw(st.integers(3, max_len), label="length")
+    body = data.draw(st.lists(st.integers(PAD_ID + 1, len(vocab) - 1), min_size=n - 2, max_size=n - 2))
+    ids = np.array([0, *body, 1])
+    spans = data.draw(st.lists(st.tuples(st.integers(1, n - 2), st.integers(1, n - 2)), min_size=1, max_size=3))
+    targets = [
+        MaskedTarget(min(a, b), max(a, b) + 1, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1)))
+        for a, b in spans
+    ]
+    inst = MaskedInstance("1", tuple(ids.tolist()), tuple(targets))
+    pairs = [
+        (model.encode(ids), model.encode(ids, train=True)),
+        (model.encode(ids, cls_only=True), model.encode(ids, train=True, cls_only=True)),
+        *zip(model.finetune_forward(ids), model.finetune_forward(ids, train=True)),
+        (model.pretrain_loss(inst), model.pretrain_loss(inst, train=True)),
+    ]
+    for inference, training in pairs:
+        assert inference.data.dtype == training.data.dtype == np.dtype(precision)
+        assert np.array_equal(inference.data, training.data)
 
 
 def test_pretrain_loss_requires_targets():

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrex.corpus import Document, Mention, parse_pubtator
 from entrex.synthetic import fixture_train_corpus, random_document
@@ -28,26 +30,17 @@ from entrex.tokenizer import (
 
 def test_build_vocab_includes_each_word_once():
     doc = Document("1", "C", "binds C.", ())
-    vocab = build_vocab([doc], min_freq=1)
+    vocab = build_vocab([doc])
     for word in ("c", "binds", "."):
         assert word in vocab.token_to_id
     assert len([t for t in vocab.tokens if t == "c"]) == 1
 
 
-def test_min_freq_drops_singletons_to_unk():
-    doc = Document("1", "alpha", "alpha beta.", ())
-    vocab = build_vocab([doc], min_freq=2)
-    assert "alpha" in vocab.token_to_id
-    assert "beta" not in vocab.token_to_id
-    tok = tokenize_document(doc, vocab)
-    assert UNK_ID in tok.token_ids
-
-
 def test_vocab_build_is_deterministic():
     rng = np.random.default_rng(5)
     corpus = [random_document(rng, str(i)) for i in range(10)]
-    a = build_vocab(corpus, min_freq=1)
-    b = build_vocab(list(corpus), min_freq=1)
+    a = build_vocab(corpus)
+    b = build_vocab(list(corpus))
     assert a.to_json() == b.to_json()
     assert a.digest() == b.digest()
 
@@ -193,6 +186,47 @@ def test_spans_are_faithful_and_ordered():
         prev_end = e
         if tid != UNK_ID:
             assert vocab.tokens[tid] == doc.full_text[s:e].lower()
+
+
+# Letters, digits, punctuation, whitespace (no line break: a Document
+# rejects one) and non-ASCII letters and punctuation.
+_TEXT_ALPHABET = "aZ09.,;-()[]/% \t\u00a0\u2009éİß–"
+_TEXTS = st.text(_TEXT_ALPHABET, min_size=1, max_size=30)
+
+
+@st.composite
+def _documents(draw):
+    """A document with mentions at random offsets that hold a token."""
+    title, abstract = draw(_TEXTS), draw(_TEXTS)
+    text = f"{title} {abstract}"
+    mentions = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo, hi = (0, len(title)) if draw(st.booleans()) else (len(title) + 1, len(text))
+        start = draw(st.integers(lo, hi - 1))
+        end = draw(st.integers(start + 1, hi))
+        surface = text[start:end]
+        if not surface.isspace() and "\t" not in surface:
+            mentions.append(Mention(start, end, surface, "Gene", (f"G{len(mentions)}",)))
+    mentions.sort(key=lambda m: (m.start, m.end))
+    return Document("1", title, abstract, tuple(mentions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents())
+def test_token_spans_stay_faithful_to_the_text(doc):
+    """Spans are sorted and disjoint, cover every non-space character, and
+    each mention's tokens spell its surface."""
+    text = doc.full_text
+    vocab = build_vocab([doc])
+    tok = tokenize_document(doc, vocab)
+    words = [vocab.tokens[t] for t in tok.token_ids]  # every word is kept: no UNK
+    assert all(e0 <= s1 for (_, e0), (s1, _) in zip(tok.spans, tok.spans[1:]))
+    assert all(s < e for s, e in tok.spans)
+    assert words == [text[s:e].lower() for s, e in tok.spans]
+    assert "".join(text[s:e] for s, e in tok.spans) == "".join(text.split())
+    for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
+        assert lo < hi
+        assert "".join(words[lo:hi]) == "".join(m.surface.split()).lower()
 
 
 def _scan_mention_ranges(spans, mentions):
