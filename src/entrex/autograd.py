@@ -3,8 +3,18 @@
 Define-by-run: every op builds its forward value eagerly and records a
 backward closure plus parent links on the output tensor.  Calling
 ``backward()`` on a scalar walks the tape in reverse topological order,
-accumulating gradients into every tensor that requires them.  The tape
-is rebuilt on each forward pass; tensors and tapes are single-threaded.
+accumulating gradients into every parameter (leaf) that the loss depends
+on.  The tape is rebuilt on each forward pass; tensors and tapes are
+single-threaded.
+
+``backward()`` consumes the tape as it walks it: once a node's closure has
+run, the node holds no gradient, parents or closure, so each activation
+and intermediate gradient is freed after its last consumer.  Only leaves
+keep ``.grad``.  A second walk through a consumed node, from the same loss
+or from a new op on one of its intermediates, raises before any gradient
+changes; run the forward again instead.  The first ``backward()`` in a
+process also asks glibc's malloc to keep freed memory rather than return
+it to the OS, so the next step reuses the pages this one freed.
 
 Only an op with a parameter (``requires_grad``) among its inputs records
 a tape; an output computed from constants alone has none, and calling
@@ -17,6 +27,8 @@ gradient past the next backward or optimizer step must copy it.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 
 import numpy as np
@@ -36,13 +48,20 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad over the recorded tape."""
+        """Accumulate d(self)/d(leaf) into each leaf's .grad, consuming the tape.
+
+        Each non-leaf node gives up its gradient, parents and closure just
+        before its closure runs, so when this returns ``self`` holds no tape
+        and no intermediate keeps a gradient.  Raises if the tape, or any
+        part of it, was consumed by an earlier call.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
             raise ValueError(
                 "backward() needs a tape, but this tensor was computed from constants only"
             )
+        _keep_freed_memory()
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -53,18 +72,52 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_fn is _consumed:
+                _consumed()  # before any closure has added into a gradient
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         _accumulate(self, np.ones_like(self.data), owned=True)
-        for node in reversed(topo):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
+        while topo:
+            node = topo.pop()
+            fn = node._backward_fn
+            if fn is None:  # a leaf keeps its gradient
+                continue
+            g = node.grad
+            node.grad, node._parents, node._backward_fn = None, (), _consumed
+            fn(g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Ask glibc's malloc to keep the memory that backward() frees.
+
+    backward() frees most of a step's tape at the top of the heap.  glibc's
+    adaptive default hands the heap top back to the OS once it exceeds
+    twice the largest block it has unmapped so far, and the next forward
+    faults every page in again: 600-700 page faults and 1.4-2 ms of kernel
+    time per step of the benchmark's train workload on a 2-vCPU x86_64 host.
+    So from the first backward() on, the heap is trimmed only beyond 1 GiB
+    and arrays below 32 MiB come from it, as from a caching allocator.
+    Where the C library has no mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 2**30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 2**25)  # M_MMAP_THRESHOLD, glibc's largest on 64-bit
+
+
+def _consumed(g=None) -> None:
+    """The closure of a node whose tape backward() has already consumed."""
+    raise ValueError("backward() already ran through this tape; run the forward again")
 
 
 def parameter(data) -> Tensor:

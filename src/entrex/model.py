@@ -13,7 +13,10 @@ with ``cls_only``, which computes the final block for the CLS row alone
 
 ``train`` chooses between the two kinds of forward.  With ``train=True``
 a forward applies dropout and records the autograd tape through the
-parameters.  With ``train=False`` it is an inference forward: the same ops
+parameters; the loss's ``backward()`` consumes that tape, freeing each
+activation and intermediate gradient once it is used, so afterwards only
+the parameters hold gradients and the loss cannot be walked again.  With
+``train=False`` it is an inference forward: the same ops
 on the same arrays, but the weights are read as constants, so no tape is
 recorded and every intermediate is freed as soon as it is consumed.
 """

@@ -26,6 +26,18 @@ def _project(out: Tensor, rng) -> Tensor:
     return mean_all(ag.mul(out, r))
 
 
+def _graph(loss: Tensor) -> list[Tensor]:
+    """Every tensor on the tape behind ``loss`` that requires a gradient."""
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.requires_grad:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
 class TestForwardValues:
     def test_softmax_symmetry(self):
         s = ag.softmax(Tensor(np.array([0.0, 0.0])))
@@ -285,14 +297,39 @@ class TestTapeMechanics:
         ids=["add", "reshape", "transpose", "chain"],
     )
     def test_pass_through_grads_own_their_memory(self, build):
+        """Leaf gradients share no memory, and no intermediate keeps one."""
         rng = _rng(32)
         x, y = _rand(rng, 2, 3), _rand(rng, 2, 3)
         outs = build(x, y)
         loss = mean_all(outs[-1])
+        graph = _graph(loss)
         loss.backward()
-        grads = [t.grad for t in (x, y, *outs, loss) if t.grad is not None]
-        for a, b in combinations(grads, 2):
+        leaves = [t for t in graph if t._backward_fn is None]
+        assert {id(t) for t in leaves} <= {id(x), id(y)}
+        for a, b in combinations([t.grad for t in leaves], 2):
             assert not np.shares_memory(a, b)
+        assert len(graph) > len(leaves)
+        assert all(t.grad is None and t._parents == () for t in graph if t._backward_fn is not None)
+
+    def test_second_backward_raises(self):
+        x = parameter(np.array([1.0, 2.0]))
+        loss = mean_all(ag.mul(x, x))
+        loss.backward()
+        grad = x.grad.copy()
+        with pytest.raises(ValueError, match="already ran through this tape"):
+            loss.backward()
+        assert np.array_equal(x.grad, grad)
+
+    def test_new_op_on_a_consumed_intermediate_raises(self):
+        """A consumed node still requires grad, so it is never taken for a constant."""
+        x, w = parameter(np.array([1.0, 2.0])), parameter(np.array([3.0, -1.0]))
+        y = ag.scale(x, 2.0)
+        mean_all(y).backward()
+        grad = x.grad.copy()
+        assert y.requires_grad
+        with pytest.raises(ValueError, match="already ran through this tape"):
+            mean_all(ag.mul(y, w)).backward()
+        assert np.array_equal(x.grad, grad) and w.grad is None
 
     def test_constants_get_no_grad(self):
         rng = _rng(33)
