@@ -16,9 +16,9 @@ a forward applies dropout and records the autograd tape through the
 parameters; the loss's ``backward()`` consumes that tape, freeing each
 activation and intermediate gradient once it is used, so afterwards only
 the parameters hold gradients and the loss cannot be walked again.  With
-``train=False`` it is an inference forward: the same ops
-on the same arrays, but the weights are read as constants, so no tape is
-recorded and every intermediate is freed as soon as it is consumed.
+``train=False`` it is an inference forward: the same ops on the same
+arrays, but the weights are read as constants, so no tape is recorded
+and every intermediate is freed as soon as it is consumed.
 """
 
 from __future__ import annotations
