@@ -20,9 +20,9 @@ Only an op with a parameter (``requires_grad``) among its inputs records
 a tape; an output computed from constants alone has none, and calling
 ``backward()`` on it raises.
 
-A tensor owns its ``.grad``: no other tensor's gradient shares its memory,
-and later backward passes add into it in place.  Callers that keep a
-gradient past the next backward or optimizer step must copy it.
+A tensor owns its ``.grad`` (``_accumulate`` states the rule): no other
+gradient shares its memory, and later backward passes add into it in place.
+Copy a gradient to keep it past the next backward or optimizer step.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into each leaf's .grad, consuming the tape.
 
         Each non-leaf node gives up its gradient, parents and closure just
-        before its closure runs, so when this returns ``self`` holds no tape
-        and no intermediate keeps a gradient.  Raises if the tape, or any
-        part of it, was consumed by an earlier call.
+        before its closure runs, so the closure's gradient is its own to hand
+        over, and on return no intermediate keeps a gradient or a tape.
+        Raises if the tape, or any part of it, was consumed by an earlier call.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
@@ -79,7 +79,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        _accumulate(self, np.ones_like(self.data), owned=True)
+        _accumulate(self, np.ones_like(self.data))
         while topo:
             node = topo.pop()
             fn = node._backward_fn
@@ -124,17 +124,16 @@ def parameter(data) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add gradient g into t.grad, which t owns.
 
-    On first write an ``owned`` g (a fresh buffer nothing else holds)
-    becomes t.grad as it is; any other g may be a view of another tensor's
-    gradient and is copied.  Later writes add in place, so callers must
-    copy t.grad before they keep it.
+    backward() takes each node's gradient before it runs the node's closure,
+    so a closure's g is its own to hand over: on first write g, or a view of
+    it, becomes t.grad.  Only ``add`` copies, for a second same-shape operand.
+    Later writes add in place, so callers must copy t.grad before keeping it.
     """
     if t.grad is None:
-        # asarray: a ufunc on 0-d arrays returns a numpy scalar, not an array
-        t.grad = np.asarray(g) if owned else np.array(g, copy=True)
+        t.grad = np.asarray(g)  # a ufunc on 0-d arrays returns a numpy scalar
     else:
         t.grad += g
 
@@ -150,8 +149,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
+        out._parents, out._backward_fn = parents, backward_fn
     return out
 
 
@@ -170,10 +168,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        for t in (a, b):
-            if t.requires_grad:
-                # a reduced (broadcast) gradient is fresh; an unreduced one is g itself
-                _accumulate(t, _unbroadcast(g, t.data.shape), owned=t.data.shape != g.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            shared = a.requires_grad and a is not b and a.data.shape == b.data.shape == g.shape
+            _accumulate(b, _unbroadcast(g.copy() if shared else g, b.data.shape))
 
     return _make(out, (a, b), backward)
 
@@ -183,9 +182,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out, (a, b), backward)
 
@@ -194,7 +193,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     out = a.data * s
 
     def backward(g):
-        _accumulate(a, g * s, owned=True)
+        _accumulate(a, g * s)
 
     return _make(out, (a,), backward)
 
@@ -208,9 +207,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), owned=True)
+            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _make(out, (a, b), backward)
 
@@ -242,7 +241,7 @@ def softmax(x: Tensor) -> Tensor:
 
     def backward(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(x, s * (g - dot), owned=True)
+        _accumulate(x, s * (g - dot))
 
     return _make(s, (x,), backward)
 
@@ -257,7 +256,7 @@ def layer_norm(x: Tensor) -> Tensor:
     def backward(g):
         gm = g.mean(axis=-1, keepdims=True)
         gx = (g - gm - xhat * (g * xhat).mean(axis=-1, keepdims=True)) * inv
-        _accumulate(x, gx, owned=True)
+        _accumulate(x, gx)
 
     return _make(xhat, (x,), backward)
 
@@ -276,7 +275,7 @@ def gelu(x: Tensor) -> Tensor:
     def backward(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data**2)
         gx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du
-        _accumulate(x, g * gx, owned=True)
+        _accumulate(x, g * gx)
 
     return _make(out, (x,), backward)
 
@@ -290,7 +289,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     out = x.data * keep
 
     def backward(g):
-        _accumulate(x, g * keep, owned=True)
+        _accumulate(x, g * keep)
 
     return _make(out, (x,), backward)
 
@@ -350,6 +349,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     def backward(g):
         p = e / z
         p[pick] -= 1.0
-        _accumulate(logits, p * (g / t.size), owned=True)
+        _accumulate(logits, p * (g / t.size))
 
     return _make(np.asarray(loss), (logits,), backward)

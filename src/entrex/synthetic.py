@@ -37,6 +37,7 @@ _NOVELTY_TAILS = {"Novel": "as a new finding .", "No": "as previously reported .
 
 _P_COMPOSITE = 0.15     # random_document's chance of a mention of two same-type identifiers
 _P_NULL_MENTION = 0.15  # and of a mention with the null identifier
+_P_RELATION = 0.4       # and of a relation on each pair of its identifiers
 
 
 def _compose(parts: list) -> tuple[str, list[Mention]]:
@@ -94,7 +95,6 @@ def random_document(
     min_identifiers: int = 2,
     max_identifiers: int = 6,
     max_mentions_per_identifier: int = 3,
-    p_relation: float = 0.4,
 ) -> Document:
     """Generate one structurally valid document with seeded randomness."""
     k = int(rng.integers(min_identifiers, max_identifiers + 1))
@@ -144,7 +144,7 @@ def random_document(
 
     relations = []
     for id_a, id_b in itertools.combinations(sorted(set(identifiers)), 2):
-        if rng.random() >= p_relation:
+        if rng.random() >= _P_RELATION:
             continue
         if rng.random() < 0.5:
             id_a, id_b = id_b, id_a

@@ -2,7 +2,8 @@
 
 The numeric side perturbs raw parameter arrays in place and re-runs the
 forward pass, so it is independent of the backward implementation it
-checks.  All checks run in 64-bit.
+checks.  All checks run in 64-bit.  ``tape_nodes`` lists a loss's tape,
+for tests of what backward() leaves behind.
 """
 
 import numpy as np
@@ -16,6 +17,18 @@ def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     column = Tensor(np.full((n, 1), 1.0 / n, dtype=x.data.dtype))
     return ag.reshape(ag.matmul(ag.reshape(x, (1, n)), column), ())
+
+
+def tape_nodes(loss: Tensor) -> list[Tensor]:
+    """Every tensor on the tape behind ``loss`` that requires a gradient."""
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.requires_grad:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
 
 
 def finite_difference_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

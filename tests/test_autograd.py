@@ -1,6 +1,7 @@
 """Gradient checks for every differentiable op, plus Adam trace tests."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from entrex import autograd as ag
 from entrex.autograd import Tensor, parameter
 from entrex.optim import AdamState, adam_step
-from gradcheck import check_gradients, finite_difference_grad, max_rel_error, mean_all
+from gradcheck import check_gradients, finite_difference_grad, max_rel_error, mean_all, tape_nodes
 
 
 def _rng(seed=0):
@@ -24,18 +25,6 @@ def _project(out: Tensor, rng) -> Tensor:
     """Reduce op output to a scalar through a fixed random projection."""
     r = Tensor(rng.standard_normal(out.data.shape))
     return mean_all(ag.mul(out, r))
-
-
-def _graph(loss: Tensor) -> list[Tensor]:
-    """Every tensor on the tape behind ``loss`` that requires a gradient."""
-    seen, stack, nodes = set(), [loss], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen and node.requires_grad:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    return nodes
 
 
 class TestForwardValues:
@@ -302,7 +291,7 @@ class TestTapeMechanics:
         x, y = _rand(rng, 2, 3), _rand(rng, 2, 3)
         outs = build(x, y)
         loss = mean_all(outs[-1])
-        graph = _graph(loss)
+        graph = tape_nodes(loss)
         loss.backward()
         leaves = [t for t in graph if t._backward_fn is None]
         assert {id(t) for t in leaves} <= {id(x), id(y)}
@@ -310,6 +299,29 @@ class TestTapeMechanics:
             assert not np.shares_memory(a, b)
         assert len(graph) > len(leaves)
         assert all(t.grad is None and t._parents == () for t in graph if t._backward_fn is not None)
+
+    def test_pass_through_grads_are_views_of_one_buffer(self):
+        """Reshapes and transposes of a 1 MiB leaf hand on views: backward() needs one buffer.
+
+        mean_all's matmul makes the chain's only new gradient; copying it at
+        each pass-through op would hold two buffers at once."""
+        x = parameter(_rng(35).standard_normal((256, 512)))
+
+        def chain():
+            return mean_all(ag.transpose(ag.transpose(ag.reshape(x, (512, 256)), (1, 0)), (1, 0)))
+
+        chain().backward()  # unmeasured: one-time caches of numpy and the interpreter
+        x.grad = None
+        loss = chain()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(x.grad, np.full(x.data.shape, 1.0 / x.data.size))
+        assert peak <= x.data.nbytes + 64 * 1024, (peak, x.data.nbytes)
 
     def test_second_backward_raises(self):
         x = parameter(np.array([1.0, 2.0]))

@@ -1,6 +1,7 @@
-"""Property tests: optimised ops against their textbook formulas."""
+"""Property tests: optimised ops against their textbook formulas, and gradient ownership."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from entrex import autograd as ag
 from entrex.autograd import Tensor, parameter
 from entrex.optim import AdamState, adam_step
+from gradcheck import check_gradients, mean_all, tape_nodes
 
 
 def _gelu_reference(x):
@@ -93,3 +95,95 @@ def test_adam_step_bit_identical_to_textbook(run):
         assert (t.data == p).all()
         assert (state.first_moment[name] == m).all()
         assert (state.second_moment[name] == v).all()
+
+
+_GRAPH_OPS = ("add", "mul", "reshape", "transpose", "slice_rows", "embedding_lookup")
+
+
+@st.composite
+def _shared_leaf_graphs(draw):
+    """Float64 leaves of one shape or of one row of it (sides <= 4), and ops over them.
+
+    Each op reads a leaf or an earlier result.  An ``add`` or ``mul`` takes a second operand of the same shape (the
+    first one itself included, as in ``x + x``) or of one row, which
+    broadcasts; either side may come first.
+    """
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # Magnitudes in [0.5, 1.5]: near zero, a product of leaves has a
+    # gradient below the finite difference's error (h^2 times its third
+    # derivative), and ten squarings of a larger value overflow.
+    elements = st.floats(0.5, 1.5) | st.floats(-1.5, -0.5)
+    leaves = [
+        draw(hnp.arrays(np.float64, (draw(st.sampled_from((rows, 1))), cols), elements=elements))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    shapes = [a.shape for a in leaves]
+    steps = []
+    for _ in range(draw(st.integers(1, 10))):
+        i = draw(st.integers(0, len(shapes) - 1))
+        r, c = shapes[i]
+        op = draw(st.sampled_from(_GRAPH_OPS))
+        if op in ("add", "mul"):
+            j = draw(st.sampled_from([j for j, s in enumerate(shapes) if s in ((r, c), (1, c))]))
+            arg, shape = (j, draw(st.booleans())), (r, c)
+        elif op in ("reshape", "transpose"):
+            arg, shape = None, (c, r)
+        elif op == "slice_rows":
+            start = draw(st.integers(0, r - 1))
+            arg = (start, draw(st.integers(start + 1, r)))
+            shape = (arg[1] - start, c)
+        else:
+            arg = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=4))
+            shape = (len(arg), c)
+        steps.append((op, i, arg))
+        shapes.append(shape)
+    return leaves, steps
+
+
+def _graph_loss(leaves, steps):
+    """Run ``steps``; the loss projects every result no later op reads."""
+    nodes, read = list(leaves), set()
+    for op, i, arg in steps:
+        x = nodes[i]
+        read.add(i)
+        if op in ("add", "mul"):
+            j, swap = arg
+            read.add(j)
+            a, b = (nodes[j], x) if swap else (x, nodes[j])
+            nodes.append(getattr(ag, op)(a, b))
+        elif op == "reshape":
+            nodes.append(ag.reshape(x, x.data.shape[::-1]))
+        elif op == "transpose":
+            nodes.append(ag.transpose(x, (1, 0)))
+        elif op == "slice_rows":
+            nodes.append(ag.slice_rows(x, *arg))
+        else:
+            nodes.append(ag.embedding_lookup(x, np.array(arg)))
+    rng = np.random.default_rng(0)
+    terms = [
+        mean_all(ag.mul(n, Tensor(rng.standard_normal(n.data.shape))))
+        for k, n in enumerate(nodes)
+        if k not in read
+    ]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ag.add(loss, term)
+    return loss
+
+
+@settings(max_examples=50, deadline=None)
+@given(_shared_leaf_graphs())
+def test_gradients_handed_on_as_views_stay_correct_and_unshared(graph):
+    """A closure hands its own gradient on: leaf gradients are right and share no memory."""
+    arrays, steps = graph
+    leaves = {f"x{i}": parameter(a) for i, a in enumerate(arrays)}
+    loss = _graph_loss(list(leaves.values()), steps)
+    nodes = tape_nodes(loss)
+    loss.backward()
+    leaf_ids = {id(t) for t in leaves.values()}
+    assert all(t.grad is None for t in nodes if id(t) not in leaf_ids)
+    for a, b in combinations([t.grad for t in leaves.values()], 2):
+        assert not np.shares_memory(a, b)
+    for t in leaves.values():
+        t.grad = None
+    check_gradients(lambda: _graph_loss(list(leaves.values()), steps), leaves)
