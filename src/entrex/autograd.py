@@ -281,9 +281,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only in training mode."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0,1), got {p}")
+    """Inverted dropout, training mode only; ``EncoderConfig`` checks that ``p`` is in [0, 1)."""
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
     keep = keep.astype(x.data.dtype)
     out = x.data * keep

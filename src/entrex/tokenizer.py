@@ -251,6 +251,8 @@ def insert_pair_tags(
     A mention carrying both identifiers gets SRC tags.  Tags that the
     frame cuts off are counted in a ``pair-tags truncate`` warning.
     """
+    if src_id == tgt_id:
+        raise ValueError(f"PMID {doc.pmid}: a pair needs two identifiers, got {src_id!r} twice")
     tagged: set[str] = set()  # identifiers of the tagged mentions
     opens: dict[int, list[int]] = {}
     closes: dict[int, list[int]] = {}

@@ -1,7 +1,11 @@
-"""Entity masking selection, application, and instance-building tests."""
+"""Masked-instance validity, masking selection and instance-building tests."""
+
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrex.corpus import Document, Mention, candidate_pairs, parse_pubtator
 from entrex.masking import (
@@ -9,15 +13,13 @@ from entrex.masking import (
     MaskedTarget,
     MaskingConfig,
     _document_rng,
-    apply_entity_mask,
+    _draw_selection,
     build_pretraining_instances,
-    select_masked_identifiers,
 )
 from entrex.synthetic import random_document
 from entrex.tokenizer import (
     CLS_ID,
     MASK_ID,
-    MAX_LEN,
     SEP_ID,
     build_vocab,
     insert_pair_tags,
@@ -34,27 +36,56 @@ def _doc_and_vocab(seed=0, **kwargs):
     return doc, build_vocab([doc])
 
 
+def _selection(doc, cfg, epoch_seed):
+    """The identifiers the builder masks in ``doc`` at ``epoch_seed``."""
+    return _draw_selection(doc.groundable_identifiers(), cfg.threshold, _document_rng(cfg.seed, epoch_seed, doc.pmid))
+
+
+def _instance(targets, length=10):
+    ids = tuple([CLS_ID] + [6 + i for i in range(length - 2)] + [SEP_ID])
+    return MaskedInstance("42", ids, tuple(MaskedTarget(*t) for t in targets))
+
+
+@pytest.mark.parametrize(
+    "span",
+    [(2, 2), (4, 3), (-1, 2), (8, 11), (0, 2), (8, 10), (9, 10)],
+    ids=["empty", "reversed", "negative-start", "past-end", "starts-at-cls", "covers-sep", "sep-only"],
+)
+def test_instance_rejects_bad_target_span(span):
+    with pytest.raises(ValueError, match=r"PMID 42: target span .* not inside the body \[1,9\)"):
+        _instance([(2, 4, 1, 0), (*span, 0, 1)])
+
+
+def test_instance_requires_targets():
+    with pytest.raises(ValueError, match="PMID 42: masked instance has no targets"):
+        _instance([])
+
+
+def test_instance_accepts_the_whole_body():
+    assert _instance([(1, 9, 0, 0)]).masked_targets == (MaskedTarget(1, 9, 0, 0),)
+
+
 def test_threshold_zero_selects_exactly_one():
     doc, _ = _doc_and_vocab(1, min_identifiers=4, max_identifiers=6)
-    cfg = MaskingConfig(threshold=0.0)
     for s in range(20):
-        selected = select_masked_identifiers(doc, _rng(s), cfg)
+        selected = _draw_selection(doc.groundable_identifiers(), 0.0, _rng(s))
         assert len(selected) == 1
 
 
 def test_threshold_one_selects_all_but_one():
     doc, _ = _doc_and_vocab(2, min_identifiers=5, max_identifiers=5)
     k = len(doc.groundable_identifiers())
-    cfg = MaskingConfig(threshold=1.0)
     for s in range(20):
-        selected = select_masked_identifiers(doc, _rng(s), cfg)
+        selected = _draw_selection(doc.groundable_identifiers(), 1.0, _rng(s))
         assert len(selected) == k - 1
 
 
-def test_selection_requires_two_identifiers():
-    doc, _ = _doc_and_vocab(3, min_identifiers=1, max_identifiers=1)
-    with pytest.raises(ValueError):
-        select_masked_identifiers(doc, _rng(), MaskingConfig())
+def test_selection_requires_two_identifiers(caplog):
+    """The builder skips a one-identifier document, and says so."""
+    doc, vocab = _doc_and_vocab(3, min_identifiers=1, max_identifiers=1)
+    with caplog.at_level("INFO", logger="entrex.masking"):
+        assert build_pretraining_instances([doc], vocab, MaskingConfig(), 0) == []
+    assert [r.getMessage() for r in caplog.records] == ["masking skip pmid=1 reason=fewer-than-2-identifiers"]
 
 
 def test_selection_rate_matches_threshold():
@@ -64,14 +95,14 @@ def test_selection_rate_matches_threshold():
     probability 0.8**30 (about 0.1%) and the all-selected one with
     0.2**30, so the measured rate is, in effect, the raw Bernoulli rate.
     """
-    cfg = MaskingConfig(threshold=0.2)
     rng = _rng(404)
     draws = 0
     hits = 0
     doc = random_document(_rng(77), "1", min_identifiers=30, max_identifiers=30)
-    k = len(doc.groundable_identifiers())
+    identifiers = doc.groundable_identifiers()
+    k = len(identifiers)
     while draws < 10_000:
-        selected = select_masked_identifiers(doc, rng, cfg)
+        selected = _draw_selection(identifiers, 0.2, rng)
         hits += len(selected)
         draws += k
     rate = hits / draws
@@ -83,48 +114,40 @@ def test_config_validation():
         MaskingConfig(threshold=1.5)
 
 
-def test_apply_empty_selection_is_identity():
-    """Nothing is masked: the instance is the document's tokens, framed."""
-    doc, vocab = _doc_and_vocab(4)
-    tok = tokenize_document(doc, vocab)
-    inst = apply_entity_mask(tok, doc, set(), vocab, MAX_LEN)
-    assert inst.token_ids == (CLS_ID, *tok.token_ids, SEP_ID)
-    assert inst.masked_targets == ()
-
-
-def test_apply_masks_every_mention_of_identifier():
+def test_builder_masks_every_mention_of_identifier():
+    """At threshold 1 two of the three identifiers are masked, each in
+    every mention: G1 has 2 one-token mentions, C1 one 3-token mention
+    and D1 one one-token mention."""
     text = (
         "6|t|aa here.\n"
-        "6|a|bb cc dd and aa.\n"
+        "6|a|bb cc dd and aa ee.\n"
         "6\t0\t2\taa\tGene\tG1\n"
         "6\t9\t17\tbb cc dd\tChemical\tC1\n"
         "6\t22\t24\taa\tGene\tG1\n"
+        "6\t25\t27\tee\tDisease\tD1\n"
     )
     doc = parse_pubtator(text)[0]
     vocab = build_vocab([doc])
-    tok = tokenize_document(doc, vocab)
-    inst = apply_entity_mask(tok, doc, {"G1", "C1"}, vocab, MAX_LEN)
-    # G1 has 2 single-token mentions, C1 one 3-token mention
-    assert len(inst.masked_targets) == 3
-    assert sum(1 for t in inst.token_ids if t == MASK_ID) == 5
-
-
-def test_apply_rejects_unknown_identifier():
-    doc, vocab = _doc_and_vocab(5)
-    tok = tokenize_document(doc, vocab)
-    with pytest.raises(ValueError, match=r"no mention in 1: \['NOPE'\]"):
-        apply_entity_mask(tok, doc, {"NOPE", doc.groundable_identifiers()[0]}, vocab, MAX_LEN)
+    expected = {("C1", "G1"): (3, 5), ("D1", "G1"): (3, 3), ("C1", "D1"): (2, 4)}  # (targets, MASKs)
+    seen = set()
+    for epoch in range(20):
+        (inst,) = build_pretraining_instances([doc], vocab, MaskingConfig(threshold=1.0), epoch)
+        masked = tuple(sorted({vocab.identifier_labels[t.identifier_index] for t in inst.masked_targets}))
+        assert (len(inst.masked_targets), inst.token_ids.count(MASK_ID)) == expected[masked]
+        seen.add(masked)
+    assert seen == set(expected)
 
 
 def test_mask_position_set_oracle():
     """MASK positions equal a brute-force scan over selected mention ranges."""
     rng = _rng(31)
+    cfg = MaskingConfig(threshold=0.4)
     for i in range(100):
         doc = random_document(rng, str(i), min_identifiers=2, max_identifiers=8)
         vocab = build_vocab([doc])
         tok = tokenize_document(doc, vocab)
-        selected = select_masked_identifiers(doc, rng, MaskingConfig(threshold=0.4))
-        inst = apply_entity_mask(tok, doc, selected, vocab, MAX_LEN)
+        (inst,) = build_pretraining_instances([doc], vocab, cfg, epoch_seed=i)
+        selected = _selection(doc, cfg, i)
 
         expected = set()
         for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
@@ -141,11 +164,12 @@ def test_mask_position_set_oracle():
             assert vocab.identifier_labels[t.identifier_index] in selected
 
 
-def test_apply_frames_and_shifts_targets():
+def test_builder_frames_and_shifts_targets():
     doc, vocab = _doc_and_vocab(6)
     tok = tokenize_document(doc, vocab)
-    selected = select_masked_identifiers(doc, _rng(1), MaskingConfig(threshold=0.5))
-    inst = apply_entity_mask(tok, doc, selected, vocab, MAX_LEN)
+    cfg = MaskingConfig(threshold=0.5)
+    (inst,) = build_pretraining_instances([doc], vocab, cfg, epoch_seed=1)
+    selected = _selection(doc, cfg, 1)
     assert inst.token_ids[0] == CLS_ID and inst.token_ids[-1] == SEP_ID
     assert len(inst.token_ids) == len(tok.token_ids) + 2
     masked = [(lo, hi) for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges) if set(m.identifiers) & selected]
@@ -257,7 +281,7 @@ def _framed_instance_formula(tok, doc, selected, vocab, max_len):
     if len(framed) > max_len:
         framed = framed[: max_len - 1] + (SEP_ID,)
         shifted = [t for t in shifted if t.token_end <= max_len - 1]
-    return MaskedInstance(doc.pmid, framed, tuple(shifted))
+    return MaskedInstance(doc.pmid, framed, tuple(shifted)) if shifted else None
 
 
 @pytest.mark.parametrize("max_len", [8, 16, 40, 512])
@@ -279,9 +303,8 @@ def test_every_encoder_input_follows_the_framing_rule(max_len):
         if len(doc.groundable_identifiers()) < 2:
             assert doc.pmid not in instances
             continue
-        selected = select_masked_identifiers(doc, _document_rng(cfg.seed, 3, doc.pmid), cfg)
-        expected = _framed_instance_formula(tok, doc, selected, vocab, max_len)
-        if not expected.masked_targets:
+        expected = _framed_instance_formula(tok, doc, _selection(doc, cfg, 3), vocab, max_len)
+        if expected is None:
             assert doc.pmid not in instances
             continue
         inst = instances[doc.pmid]
@@ -290,3 +313,48 @@ def test_every_encoder_input_follows_the_framing_rule(max_len):
         for t in inst.masked_targets:
             assert 1 <= t.token_start < t.token_end <= len(inst.token_ids) - 1
             assert all(inst.token_ids[j] == MASK_ID for j in range(t.token_start, t.token_end))
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_docs=st.integers(1, 4),
+    threshold=st.floats(0.0, 1.0),
+    epoch_seed=st.integers(0, 2**32 - 1),
+    max_len=st.integers(8, 64),
+)
+def test_builder_emits_valid_instances_and_accounts_for_every_document(seed, n_docs, threshold, epoch_seed, max_len):
+    """Every instance is framed, its targets lie over MASK ids and leave at
+    least one groundable identifier unmasked; every document either
+    yields an instance or is named in a ``masking skip`` record."""
+    rng = _rng(seed)
+    corpus = [random_document(rng, str(i), min_identifiers=1, max_identifiers=12) for i in range(n_docs)]
+    vocab = build_vocab(corpus)
+    logger, records = logging.getLogger("entrex.masking"), _Records()
+    level = logger.level
+    logger.addHandler(records)
+    logger.setLevel(logging.INFO)
+    try:
+        instances = build_pretraining_instances(corpus, vocab, MaskingConfig(threshold=threshold), epoch_seed, max_len)
+    finally:
+        logger.removeHandler(records)
+        logger.setLevel(level)
+    skipped = [r.args[0] for r in records.records if r.getMessage().startswith("masking skip")]
+    assert sorted(skipped + [i.pmid for i in instances]) == sorted(d.pmid for d in corpus)
+    docs = {d.pmid: d for d in corpus}
+    for inst in instances:
+        ids = inst.token_ids
+        assert ids[0] == CLS_ID and ids[-1] == SEP_ID and len(ids) <= max_len
+        for t in inst.masked_targets:
+            assert set(ids[t.token_start : t.token_end]) == {MASK_ID}
+        named = {vocab.identifier_labels[t.identifier_index] for t in inst.masked_targets}
+        assert named < set(docs[inst.pmid].groundable_identifiers())

@@ -313,6 +313,14 @@ def test_insert_pair_tags_unknown_identifier(tagged_doc):
         insert_pair_tags(tok, doc, "NOPE", "C1", vocab)
 
 
+def test_insert_pair_tags_rejects_a_self_pair(tagged_doc):
+    """A pair of one identifier with itself would get SRC tags and no TGT tag."""
+    doc, vocab = tagged_doc
+    tok = tokenize_document(doc, vocab)
+    with pytest.raises(ValueError, match="PMID 8: a pair needs two identifiers, got 'G1' twice"):
+        insert_pair_tags(tok, doc, "G1", "G1", vocab)
+
+
 def test_tag_insertion_preserves_token_order():
     """Original tokens form a subsequence of the tagged sequence."""
     rng = np.random.default_rng(29)
