@@ -1,10 +1,8 @@
 """Masked-instance validity, masking selection and instance-building tests."""
 
-import logging
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from entrex.corpus import Document, Mention, candidate_pairs, parse_pubtator
@@ -315,16 +313,7 @@ def test_every_encoder_input_follows_the_framing_rule(max_len):
             assert all(inst.token_ids[j] == MASK_ID for j in range(t.token_start, t.token_end))
 
 
-class _Records(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.INFO)
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_docs=st.integers(1, 4),
@@ -332,23 +321,19 @@ class _Records(logging.Handler):
     epoch_seed=st.integers(0, 2**32 - 1),
     max_len=st.integers(8, 64),
 )
-def test_builder_emits_valid_instances_and_accounts_for_every_document(seed, n_docs, threshold, epoch_seed, max_len):
+def test_builder_emits_valid_instances_and_accounts_for_every_document(
+    caplog, seed, n_docs, threshold, epoch_seed, max_len
+):
     """Every instance is framed, its targets lie over MASK ids and leave at
     least one groundable identifier unmasked; every document either
     yields an instance or is named in a ``masking skip`` record."""
     rng = _rng(seed)
     corpus = [random_document(rng, str(i), min_identifiers=1, max_identifiers=12) for i in range(n_docs)]
     vocab = build_vocab(corpus)
-    logger, records = logging.getLogger("entrex.masking"), _Records()
-    level = logger.level
-    logger.addHandler(records)
-    logger.setLevel(logging.INFO)
-    try:
+    caplog.clear()
+    with caplog.at_level("INFO", logger="entrex.masking"):
         instances = build_pretraining_instances(corpus, vocab, MaskingConfig(threshold=threshold), epoch_seed, max_len)
-    finally:
-        logger.removeHandler(records)
-        logger.setLevel(level)
-    skipped = [r.args[0] for r in records.records if r.getMessage().startswith("masking skip")]
+    skipped = [r.args[0] for r in caplog.records if r.getMessage().startswith("masking skip")]
     assert sorted(skipped + [i.pmid for i in instances]) == sorted(d.pmid for d in corpus)
     docs = {d.pmid: d for d in corpus}
     for inst in instances:
