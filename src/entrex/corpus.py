@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Container, Iterable, Mapping, TextIO
+from typing import Collection, Container, Iterable, Mapping
 
 NULL_IDENTIFIER = "-"            # unnormalized mention, excluded from pairing and masking
 NO_RELATION_LABEL = "None"       # reserved label for unannotated candidate pairs
@@ -277,9 +277,8 @@ def _parse_block(numbered: list[tuple[int, str]]) -> Document:
     return Document(pmid, title, abstract, tuple(mentions), tuple(relations))
 
 
-def parse_pubtator(stream: str | TextIO) -> list[Document]:
+def parse_pubtator(text: str) -> list[Document]:
     """Parse blank-line-separated PubTator blocks into validated documents."""
-    text = stream if isinstance(stream, str) else stream.read()
     docs: list[Document] = []
     seen_pmids: set[str] = set()
     block: list[tuple[int, str]] = []

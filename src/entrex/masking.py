@@ -8,6 +8,8 @@ MASK token and records one (token range, identifier, type) target per
 masked mention.  Instances are framed by ``tokenizer.frame``, so target
 ranges are framed offsets (document token ``i`` is token ``i + 1``); a
 target cut is dropped.  A ``MaskedInstance`` is valid by construction.
+Each document's draw is seeded by the epoch seed and its PMID's sha256
+(``_document_rng``), so the epoch seed is the only masking seed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class MaskingConfig:
     threshold: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
@@ -83,9 +84,9 @@ def _draw_selection(identifiers: Sequence[str], threshold: float, rng: np.random
     return set(selected)
 
 
-def _document_rng(base_seed: int, epoch_seed: int, pmid: str) -> np.random.Generator:
+def _document_rng(epoch_seed: int, pmid: str) -> np.random.Generator:
     pmid_hash = int.from_bytes(hashlib.sha256(pmid.encode("utf-8")).digest()[:8], "little")
-    seq = np.random.SeedSequence([base_seed, epoch_seed, pmid_hash])
+    seq = np.random.SeedSequence([epoch_seed, pmid_hash])
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -111,7 +112,7 @@ def build_pretraining_instances(
         if len(identifiers) < 2:
             log.info("masking skip pmid=%s reason=fewer-than-2-identifiers", doc.pmid)
             continue
-        rng = _document_rng(cfg.seed, epoch_seed, doc.pmid)
+        rng = _document_rng(epoch_seed, doc.pmid)
         selected = _draw_selection(identifiers, cfg.threshold, rng)
         tok = tokenize_document(doc, vocab)
         token_ids = list(tok.token_ids)

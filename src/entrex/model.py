@@ -75,8 +75,8 @@ class LossWeights:
     lambda_nov: float = 2.0
 
     def __post_init__(self):
-        if self.lambda_rel < 0 or self.lambda_nov < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not all(0.0 <= w < math.inf for w in (self.lambda_rel, self.lambda_nov)):  # NaN fails too
+            raise ValueError(f"loss weights must be finite and non-negative, got {self}")
         if self.lambda_rel == 0 and self.lambda_nov == 0:
             raise ValueError("at least one loss weight must be positive")
 

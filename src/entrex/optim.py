@@ -9,18 +9,21 @@ import numpy as np
 
 from .autograd import Tensor
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator's guard
+
 
 @dataclass
 class AdamState:
-    """Optimizer hyperparameters plus per-parameter moment buffers."""
+    """The learning rate, Adam's one hyperparameter (required, finite, positive), plus the moment buffers."""
 
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
 
 
 def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
@@ -37,8 +40,8 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
         raise ValueError(f"parameters without gradients: {missing}")
     state.step_count += 1
     t = state.step_count
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
+    correction1 = 1.0 - _BETA1**t
+    correction2 = 1.0 - _BETA2**t
     for name, p in params.items():
         g = p.grad
         m = state.first_moment.get(name)
@@ -50,16 +53,16 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
         # The textbook update, one operation at a time in its order:
         #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
         #   p = p - lr*(m/c1) / (sqrt(v/c2) + eps)
-        step = np.multiply(g, 1.0 - state.beta1, out=np.empty_like(m))
-        m *= state.beta1
+        step = np.multiply(g, 1.0 - _BETA1, out=np.empty_like(m))
+        m *= _BETA1
         m += step
-        np.multiply(g, 1.0 - state.beta2, out=step)
+        np.multiply(g, 1.0 - _BETA2, out=step)
         step *= g
-        v *= state.beta2
+        v *= _BETA2
         v += step
         denom = np.divide(v, correction2, out=step)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += _EPS
         update = m / correction1
         update *= state.lr
         update /= denom

@@ -248,26 +248,25 @@ def insert_pair_tags(
 ) -> tuple[int, ...]:
     """The framed tokens with SRC/TGT tags around every mention of the pair.
 
-    A mention carrying both identifiers gets SRC tags.  Tags that the
-    frame cuts off are counted in a ``pair-tags truncate`` warning.
+    A mention carrying both identifiers gets nested tags, SRC outside
+    TGT.  Tags that the frame cuts off are counted in a ``pair-tags
+    truncate`` warning.
     """
     if src_id == tgt_id:
         raise ValueError(f"PMID {doc.pmid}: a pair needs two identifiers, got {src_id!r} twice")
-    tagged: set[str] = set()  # identifiers of the tagged mentions
+    pair_roles = (("SRC", src_id), ("TGT", tgt_id))
+    tagged: set[str] = set()  # roles tagged on at least one mention
     opens: dict[int, list[int]] = {}
     closes: dict[int, list[int]] = {}
     for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
-        if src_id in m.identifiers:
-            role = "SRC"
-        elif tgt_id in m.identifiers:
-            role = "TGT"
-        else:
+        roles = [role for role, ident in pair_roles if ident in m.identifiers]
+        if not roles:
             continue
-        tagged.update(m.identifiers)
-        opens.setdefault(lo, []).append(vocab.tag_id(role, m.entity_type, close=False))
-        closes.setdefault(hi, []).append(vocab.tag_id(role, m.entity_type, close=True))
-    for ident in (src_id, tgt_id):
-        if ident not in tagged:
+        tagged.update(roles)
+        opens.setdefault(lo, []).extend(vocab.tag_id(r, m.entity_type, close=False) for r in roles)
+        closes.setdefault(hi, []).extend(vocab.tag_id(r, m.entity_type, close=True) for r in reversed(roles))
+    for role, ident in pair_roles:
+        if role not in tagged:
             raise ValueError(f"identifier {ident!r} not present in document {doc.pmid}")
     body: list[int] = []
     for j in range(len(tok.token_ids) + 1):

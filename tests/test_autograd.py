@@ -397,12 +397,12 @@ class TestAdam:
     def test_missing_gradient_rejected(self):
         p = parameter(np.array([0.0]))
         with pytest.raises(ValueError, match="p"):
-            adam_step({"p": p}, AdamState())
+            adam_step({"p": p}, AdamState(lr=0.1))
 
     def test_gradients_zeroed_after_step(self):
         p = parameter(np.array([0.0]))
         p.grad = np.array([1.0])
-        adam_step({"p": p}, AdamState())
+        adam_step({"p": p}, AdamState(lr=0.1))
         assert p.grad is None
 
     def test_updates_in_place_without_touching_the_callers_array(self):
@@ -416,6 +416,11 @@ class TestAdam:
         adam_step({"p": p}, state)
         np.testing.assert_array_equal(w, [1.0, -2.0])
         assert p.data is buffer and (buffer < w).all()
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be finite and positive"):
+            AdamState(lr=lr)
 
     def test_ten_step_trace_matches_reference(self):
         """Hand-rolled Adam on a 1-D quadratic, compared to 1e-10."""
@@ -433,7 +438,7 @@ class TestAdam:
             trace_ref.append(w_ref)
 
         p = parameter(np.array([4.0]))
-        state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        state = AdamState(lr=lr)
         trace = []
         for _ in range(10):
             p.grad = p.data - 3.0

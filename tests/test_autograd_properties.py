@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from entrex import autograd as ag
 from entrex.autograd import Tensor, parameter
-from entrex.optim import AdamState, adam_step
+from entrex.optim import _BETA1, _BETA2, _EPS, AdamState, adam_step
 from gradcheck import check_gradients, mean_all, tape_nodes
 
 
@@ -51,16 +51,16 @@ def test_gelu_float32_without_cancellation_within_few_ulp(x):
     np.testing.assert_array_max_ulp(ag.gelu(Tensor(x)).data, _gelu_reference(x), maxulp=4)
 
 
-def _textbook_adam(p, grads, lr, beta1, beta2, eps):
-    """Allocating Adam: a fresh array for every intermediate."""
+def _textbook_adam(p, grads, lr):
+    """Allocating Adam with the module's constants: a fresh array for every intermediate."""
     m = np.zeros_like(p)
     v = np.zeros_like(p)
     for t, g in enumerate(grads, start=1):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return p, m, v
 
 
@@ -74,23 +74,21 @@ def _adam_runs(draw):
         for s in shapes
     ]
     lr = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
-    beta1 = draw(st.sampled_from([0.0, 0.5, 0.9]))
-    beta2 = draw(st.sampled_from([0.9, 0.999]))
-    return params, grads, lr, beta1, beta2
+    return params, grads, lr
 
 
 @settings(max_examples=100, deadline=None)
 @given(_adam_runs())
 def test_adam_step_bit_identical_to_textbook(run):
-    params, grads, lr, beta1, beta2 = run
+    params, grads, lr = run
     tensors = {f"p{i}": parameter(p.copy()) for i, p in enumerate(params)}
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2)
+    state = AdamState(lr=lr)
     for step in range(len(grads[0])):
         for i, t in enumerate(tensors.values()):
             t.grad = grads[i][step].copy()
         adam_step(tensors, state)
     for i, (name, t) in enumerate(tensors.items()):
-        p, m, v = _textbook_adam(params[i], grads[i], lr, beta1, beta2, state.eps)
+        p, m, v = _textbook_adam(params[i], grads[i], lr)
         assert t.data.dtype == np.float32
         assert (t.data == p).all()
         assert (state.first_moment[name] == m).all()

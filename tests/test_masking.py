@@ -1,5 +1,9 @@
 """Masked-instance validity, masking selection and instance-building tests."""
 
+import hashlib
+import json
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +18,7 @@ from entrex.masking import (
     _draw_selection,
     build_pretraining_instances,
 )
-from entrex.synthetic import random_document
+from entrex.synthetic import random_corpus, random_document
 from entrex.tokenizer import (
     CLS_ID,
     MASK_ID,
@@ -36,7 +40,7 @@ def _doc_and_vocab(seed=0, **kwargs):
 
 def _selection(doc, cfg, epoch_seed):
     """The identifiers the builder masks in ``doc`` at ``epoch_seed``."""
-    return _draw_selection(doc.groundable_identifiers(), cfg.threshold, _document_rng(cfg.seed, epoch_seed, doc.pmid))
+    return _draw_selection(doc.groundable_identifiers(), cfg.threshold, _document_rng(epoch_seed, doc.pmid))
 
 
 def _instance(targets, length=10):
@@ -180,7 +184,7 @@ def test_build_instances_deterministic():
     rng = _rng(7)
     corpus = [random_document(rng, str(i)) for i in range(6)]
     vocab = build_vocab(corpus)
-    cfg = MaskingConfig(threshold=0.2, seed=3)
+    cfg = MaskingConfig(threshold=0.2)
     a = build_pretraining_instances(corpus, vocab, cfg, epoch_seed=11)
     b = build_pretraining_instances(corpus, vocab, cfg, epoch_seed=11)
     assert a == b
@@ -220,7 +224,7 @@ def test_every_identifier_masked_across_epochs():
     """Coverage: over 50 epochs each identifier of a 5-identifier doc is masked."""
     doc = random_document(_rng(55), "1", min_identifiers=5, max_identifiers=5)
     vocab = build_vocab([doc])
-    cfg = MaskingConfig(threshold=0.2, seed=9)
+    cfg = MaskingConfig(threshold=0.2)
     masked_ever = set()
     for epoch in range(50):
         for inst in build_pretraining_instances([doc], vocab, cfg, epoch_seed=epoch):
@@ -249,10 +253,9 @@ def _framed_pair_tags_formula(tok, doc, src, tgt, vocab, max_len):
     """Pair tagging as written before framing had one owner."""
     opens, closes = {}, {}
     for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
-        role = "SRC" if src in m.identifiers else "TGT" if tgt in m.identifiers else None
-        if role:
-            opens.setdefault(lo, []).append(vocab.tag_id(role, m.entity_type))
-            closes.setdefault(hi, []).append(vocab.tag_id(role, m.entity_type, close=True))
+        roles = [r for r, i in (("SRC", src), ("TGT", tgt)) if i in m.identifiers]  # both nest, SRC outside
+        opens.setdefault(lo, []).extend(vocab.tag_id(r, m.entity_type) for r in roles)
+        closes.setdefault(hi, []).extend(vocab.tag_id(r, m.entity_type, close=True) for r in reversed(roles))
     out = [CLS_ID]
     for j in range(len(tok.token_ids) + 1):
         out.extend(closes.get(j, ()))
@@ -290,7 +293,7 @@ def test_every_encoder_input_follows_the_framing_rule(max_len):
     rng = _rng(41)
     corpus = [random_document(rng, str(i), min_identifiers=2, max_identifiers=12) for i in range(12)]
     vocab = build_vocab(corpus)
-    cfg = MaskingConfig(threshold=0.4, seed=5)
+    cfg = MaskingConfig(threshold=0.4)
     instances = {i.pmid: i for i in build_pretraining_instances(corpus, vocab, cfg, 3, max_len)}
     for doc in corpus:
         tok = tokenize_document(doc, vocab)
@@ -343,3 +346,41 @@ def test_builder_emits_valid_instances_and_accounts_for_every_document(
             assert set(ids[t.token_start : t.token_end]) == {MASK_ID}
         named = {vocab.identifier_labels[t.identifier_index] for t in inst.masked_targets}
         assert named < set(docs[inst.pmid].groundable_identifiers())
+
+
+def _sha256_of_ints(rows):
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode("ascii")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus():
+    corpus = random_corpus(_rng(0), 20)
+    return corpus, build_vocab(corpus)
+
+
+def test_masked_instances_pin(pinned_corpus):
+    """The masking draw, framing and targets of 20 documents over epoch seeds
+    0-2, hashed as integers only; a change to any of them must update this pin."""
+    corpus, vocab = pinned_corpus
+    rows = [
+        [epoch, int(inst.pmid), list(inst.token_ids), [list(astuple(t)) for t in inst.masked_targets]]
+        for epoch in range(3)
+        for inst in build_pretraining_instances(corpus, vocab, MaskingConfig(), epoch)
+    ]
+    assert len(rows) == 60
+    assert _sha256_of_ints(rows) == "6e36ffbab30eebca1f23b6abeab7c6c9cf02b32cb9fd1c95a5e8918a4214578c"
+
+
+def test_pair_tags_pin(pinned_corpus):
+    """The tagged sequence of every candidate pair of the same corpus, hashed
+    as integers only; one pair's target occurs only in a mention that also
+    carries its source, so the pin covers nested tags too."""
+    corpus, vocab = pinned_corpus
+    rows, shared = [], 0
+    for doc in corpus:
+        tok = tokenize_document(doc, vocab)
+        for pair in candidate_pairs(doc):
+            rows.append([int(doc.pmid), list(insert_pair_tags(tok, doc, pair.src_id, pair.tgt_id, vocab))])
+            shared += any({pair.src_id, pair.tgt_id} <= set(m.identifiers) for m in doc.mentions)
+    assert (len(rows), shared) == (129, 1)
+    assert _sha256_of_ints(rows) == "eec41a53fd7de89cd5211be09741488397b34fd3e7974c464765968e2c313148"

@@ -59,9 +59,10 @@ def test_config_validation():
 
 
 def test_loss_weights_validation():
-    with pytest.raises(ValueError):
-        LossWeights(lambda_rel=-1.0)
-    with pytest.raises(ValueError):
+    for bad in ({"lambda_rel": -1.0}, {"lambda_rel": float("nan")}, {"lambda_nov": float("inf")}):
+        with pytest.raises(ValueError, match="loss weights must be finite and non-negative"):
+            LossWeights(**bad)
+    with pytest.raises(ValueError, match="at least one loss weight must be positive"):
         LossWeights(lambda_rel=0.0, lambda_nov=0.0)
 
 

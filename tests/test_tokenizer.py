@@ -294,14 +294,18 @@ def test_insert_pair_tags_single_pair():
     assert seq[i + 1] == ga and seq[i + 2] == src_close
 
 
-def test_shared_mention_gets_src_tags():
+def test_shared_mention_gets_nested_tags():
+    """A mention carrying both endpoints is the pair's only mention of either,
+    so it gets both roles, SRC outside TGT."""
     text = "4|t|aa x.\n4|a|y z.\n4\t0\t2\taa\tGene\tG1,G2\n"
     doc = parse_pubtator(text)[0]
     vocab = build_vocab([doc])
     tok = tokenize_document(doc, vocab)
     seq = insert_pair_tags(tok, doc, "G1", "G2", vocab)
-    assert vocab.tag_id("SRC", "Gene") in seq
-    assert vocab.tag_id("TGT", "Gene") not in seq
+    src_open, src_close = vocab.tag_id("SRC", "Gene"), vocab.tag_id("SRC", "Gene", close=True)
+    tgt_open, tgt_close = vocab.tag_id("TGT", "Gene"), vocab.tag_id("TGT", "Gene", close=True)
+    aa, rest = tok.token_ids[0], tok.token_ids[1:]
+    assert seq == (CLS_ID, src_open, tgt_open, aa, tgt_close, src_close, *rest, SEP_ID)
 
 
 def test_insert_pair_tags_unknown_identifier(tagged_doc):
