@@ -28,7 +28,7 @@ def _where(pmid: str, pair: PairCandidate | None) -> str:
 
 
 def train_step(
-    loss: Tensor, params: Mapping[str, Tensor], state: optim.AdamState, pmid: str, pair: PairCandidate | None = None
+    loss: Tensor, params: Mapping[str, Tensor], state: optim.AdamState, pmid: str, pair: PairCandidate | None
 ) -> float:
     """Check that ``loss`` is finite, back-propagate it and update ``params``; returns the loss."""
     value = loss.item()
@@ -41,7 +41,7 @@ def train_step(
 
 def pretrain_step(mdl: model.RelationModel, instance: masking.MaskedInstance, state, rng) -> float:
     loss = mdl.pretrain_loss(instance, train=True, rng=rng)
-    return train_step(loss, mdl.pretrain_parameters(), state, instance.pmid)
+    return train_step(loss, mdl.pretrain_parameters(), state, instance.pmid, None)
 
 
 def finetune_step(

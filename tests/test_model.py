@@ -334,7 +334,7 @@ def test_training_steps_reuse_the_memory_backward_frees():
 
     def step():
         rel, nov = model.finetune_forward(ids, train=True)
-        train_step(finetune_loss(rel, nov, 1, 2, LossWeights()), model.finetune_parameters(), state, "1")
+        train_step(finetune_loss(rel, nov, 1, 2, LossWeights()), model.finetune_parameters(), state, "1", None)
 
     for _ in range(3):
         step()
@@ -496,7 +496,7 @@ def test_state_snapshot_unchanged_by_adam_steps():
 
     def step():
         rel, nov = model.finetune_forward(np.array([0, 6, 7, 1]), train=True)
-        train_step(finetune_loss(rel, nov, 1, 2, LossWeights()), model.finetune_parameters(), state, "1")
+        train_step(finetune_loss(rel, nov, 1, 2, LossWeights()), model.finetune_parameters(), state, "1", None)
 
     step()
     step()

@@ -158,4 +158,4 @@ def test_fixture_run_fits_train_and_finds_the_test_pairs():
 
     train_f1, test_f1 = f1(train), f1(test)
     assert train_f1[MatchLevel.PAIR] == 1.0 and test_f1[MatchLevel.PAIR] == 1.0
-    assert all(f1 >= 0.9 for f1 in train_f1.values()), train_f1
+    assert all(score >= 0.9 for score in train_f1.values()), train_f1
