@@ -283,8 +283,7 @@ def parse_pubtator(text: str) -> list[Document]:
     seen_pmids: set[str] = set()
     block: list[tuple[int, str]] = []
     lines = text.splitlines()
-    for line_no, raw in enumerate(lines + [""], start=1):
-        line = raw.rstrip("\r")
+    for line_no, line in enumerate(lines + [""], start=1):
         if line:
             block.append((line_no, line))
             continue

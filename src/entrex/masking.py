@@ -21,13 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tokenizer
 from .corpus import Document
 from .tokenizer import (
     MASK_ID,
     MAX_LEN,
     Vocabulary,
     frame,
-    tokenize_document,
 )
 
 log = logging.getLogger(__name__)
@@ -114,7 +114,7 @@ def build_pretraining_instances(
             continue
         rng = _document_rng(epoch_seed, doc.pmid)
         selected = _draw_selection(identifiers, cfg.threshold, rng)
-        tok = tokenize_document(doc, vocab)
+        tok = tokenizer.tokenize_document(doc, vocab)
         token_ids = list(tok.token_ids)
         targets: list[MaskedTarget] = []
         for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):

@@ -86,21 +86,19 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 class RelationModel:
-    """Encoder plus all four heads, with parameters in one named dict."""
+    """Encoder plus all four heads, sized by the ``vocab`` it keeps, with parameters in one named dict."""
 
     def __init__(self, cfg: EncoderConfig, vocab: Vocabulary, rng: np.random.Generator):
         self.cfg = cfg
-        self.n_tokens = len(vocab)
-        self.n_identifiers = len(vocab.identifier_labels)
-        self.n_types = len(vocab.type_labels)
-        self.n_relations = len(vocab.relation_labels)
-        self.n_novelty = len(vocab.novelty_labels)
+        self.vocab = vocab
         self.params: dict[str, Tensor] = {}
         self._init_params(rng)
 
     def _init_params(self, rng: np.random.Generator) -> None:
         d, f = self.cfg.d_model, self.cfg.ffn_dim
         dt = self.cfg.dtype
+        v = self.vocab
+        n_id, n_ty, n_rel, n_nov = map(len, (v.identifier_labels, v.type_labels, v.relation_labels, v.novelty_labels))
 
         def normal(*shape):
             return parameter((rng.normal(0.0, 0.02, shape)).astype(dt))
@@ -112,7 +110,7 @@ class RelationModel:
             return parameter(np.ones(shape, dtype=dt))
 
         p = self.params
-        p["emb.token"] = normal(self.n_tokens, d)
+        p["emb.token"] = normal(len(v), d)
         p["emb.pos"] = normal(self.cfg.max_len, d)
         for i in range(self.cfg.n_layers):
             pre = f"enc{i}"
@@ -125,12 +123,12 @@ class RelationModel:
             p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"] = normal(d, f), zeros(f)
             p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"] = normal(f, d), zeros(d)
         p["final.ln.g"], p["final.ln.b"] = ones(d), zeros(d)
-        p["head.identifier.w"], p["head.identifier.b"] = normal(d, self.n_identifiers), zeros(self.n_identifiers)
-        p["head.type.w"], p["head.type.b"] = normal(d, self.n_types), zeros(self.n_types)
+        p["head.identifier.w"], p["head.identifier.b"] = normal(d, n_id), zeros(n_id)
+        p["head.type.w"], p["head.type.b"] = normal(d, n_ty), zeros(n_ty)
         p["head.relation.w1"], p["head.relation.b1"] = normal(d, d), zeros(d)
-        p["head.relation.w2"], p["head.relation.b2"] = normal(d, self.n_relations), zeros(self.n_relations)
+        p["head.relation.w2"], p["head.relation.b2"] = normal(d, n_rel), zeros(n_rel)
         p["head.novelty.w1"], p["head.novelty.b1"] = normal(d, d), zeros(d)
-        p["head.novelty.w2"], p["head.novelty.b2"] = normal(d, self.n_novelty), zeros(self.n_novelty)
+        p["head.novelty.w2"], p["head.novelty.b2"] = normal(d, n_nov), zeros(n_nov)
 
     # --- parameter views -------------------------------------------------
 

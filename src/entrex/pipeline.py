@@ -3,11 +3,12 @@
 A training step (:func:`train_step`) checks that the loss is finite, naming
 the PMID and the pair if any, then runs ``backward()`` and one Adam update
 over the step's parameter view; the caller owns the step order, the dropout
-rng and the ``AdamState``.  The transfer reloads the initial weights, then
-the pretrained ones of all but the heads.  The decode rule: a pair is related
-when its relation argmax is not the reserved ``None``; its novelty is then
-the argmax over ``No``/``Novel``.  Non-finite logits raise.  Library calls go
-through module attributes (``optim.adam_step``, ...) so a tracer sees them.
+rng and the ``AdamState``.  The transfer restarts the heads from the initial
+weights.  The decode rule: a pair is related when its relation argmax is not
+the reserved ``None``; its novelty is then the argmax over ``No``/``Novel``.
+Non-finite logits raise.  The model's vocabulary, ``mdl.vocab``, tags pairs,
+indexes labels and decodes; only ``run`` takes one.  Library calls go through
+module attributes (``optim.adam_step``, ...) so a tracer sees them.
 """
 
 from __future__ import annotations
@@ -45,33 +46,34 @@ def pretrain_step(mdl: model.RelationModel, instance: masking.MaskedInstance, st
 
 
 def finetune_step(
-    mdl: model.RelationModel, vocab: Vocabulary, tok: TokenizedDocument, doc: Document, pair: PairCandidate, state, rng
+    mdl: model.RelationModel, tok: TokenizedDocument, doc: Document, pair: PairCandidate, state, rng
 ) -> float:
     """One step on one candidate pair of ``doc``, whose tokenization is ``tok``."""
-    ids = tokenizer.insert_pair_tags(tok, doc, pair.src_id, pair.tgt_id, vocab, mdl.cfg.max_len)
+    ids = tokenizer.insert_pair_tags(tok, doc, pair.src_id, pair.tgt_id, mdl.vocab, mdl.cfg.max_len)
     rel, nov = mdl.finetune_forward(ids, train=True, rng=rng)
-    rel_index, nov_index = vocab.relation_index(pair.relation_label), vocab.novelty_index(pair.novelty_label)
+    rel_index, nov_index = mdl.vocab.relation_index(pair.relation_label), mdl.vocab.novelty_index(pair.novelty_label)
     loss = model.finetune_loss(rel, nov, rel_index, nov_index, model.LossWeights())
     return train_step(loss, mdl.finetune_parameters(), state, doc.pmid, pair)
 
 
-def transfer(mdl: model.RelationModel, init: Mapping[str, np.ndarray], pretrained: Mapping[str, np.ndarray]) -> None:
+def transfer(mdl: model.RelationModel, init: Mapping[str, np.ndarray]) -> None:
+    pretrained = mdl.state_arrays()
     mdl.load_state(init)
     mdl.load_state(pretrained, transfer_only=True)
 
 
 def predict_pair(
-    mdl: model.RelationModel, vocab: Vocabulary, tok: TokenizedDocument, doc: Document, pair: PairCandidate
+    mdl: model.RelationModel, tok: TokenizedDocument, doc: Document, pair: PairCandidate
 ) -> RelationAnnotation | None:
     """The relation decoded for one candidate pair, or None when it is unrelated."""
-    ids = tokenizer.insert_pair_tags(tok, doc, pair.src_id, pair.tgt_id, vocab, mdl.cfg.max_len)
+    ids = tokenizer.insert_pair_tags(tok, doc, pair.src_id, pair.tgt_id, mdl.vocab, mdl.cfg.max_len)
     rel, nov = mdl.finetune_forward(ids)
     if not (np.isfinite(rel.data).all() and np.isfinite(nov.data).all()):
         raise FloatingPointError(f"{_where(doc.pmid, pair)}: non-finite logits")
     r, n = int(np.argmax(rel.data)), 1 + int(np.argmax(nov.data[1:]))  # novelty index 0 is NoneClass
     if r == 0:  # the reserved None
         return None
-    return RelationAnnotation(pair.src_id, pair.tgt_id, vocab.relation_labels[r], vocab.novelty_labels[n])
+    return RelationAnnotation(pair.src_id, pair.tgt_id, mdl.vocab.relation_labels[r], mdl.vocab.novelty_labels[n])
 
 
 def run(
@@ -88,21 +90,21 @@ def run(
     for epoch_seed in masking_rng.integers(2**63, size=pretrain_epochs).tolist():
         for inst in masking.build_pretraining_instances(docs, vocab, masking.MaskingConfig(), epoch_seed, cfg.max_len):
             pretrain_losses.append(pretrain_step(mdl, inst, state, dropout_rng))
-    transfer(mdl, init, mdl.state_arrays())
+    transfer(mdl, init)
     toks = [tokenizer.tokenize_document(doc, vocab) for doc in docs]
     examples = [(tok, doc, pair) for tok, doc in zip(toks, docs) for pair in corpus.candidate_pairs(doc)]
     state, finetune_losses = optim.AdamState(lr=lr), []
     for _ in range(finetune_epochs):
         for i in order_rng.permutation(len(examples)):
-            finetune_losses.append(finetune_step(mdl, vocab, *examples[i], state, dropout_rng))
+            finetune_losses.append(finetune_step(mdl, *examples[i], state, dropout_rng))
     return mdl, pretrain_losses, finetune_losses
 
 
-def predict(mdl: model.RelationModel, docs: Sequence[Document], vocab: Vocabulary) -> dict[str, list]:
+def predict(mdl: model.RelationModel, docs: Sequence[Document]) -> dict[str, list]:
     """The relations decoded over every candidate pair of each document, by PMID."""
     predicted = {}
     for doc in docs:
-        tok = tokenizer.tokenize_document(doc, vocab)
-        decoded = (predict_pair(mdl, vocab, tok, doc, pair) for pair in corpus.candidate_pairs(doc))
+        tok = tokenizer.tokenize_document(doc, mdl.vocab)
+        decoded = (predict_pair(mdl, tok, doc, pair) for pair in corpus.candidate_pairs(doc))
         predicted[doc.pmid] = [r for r in decoded if r is not None]
     return predicted

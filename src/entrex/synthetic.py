@@ -84,8 +84,8 @@ def _build_document(pmid, title_parts, abstract_parts, relations) -> Document:
     )
 
 
-def _pseudo_word(rng: np.random.Generator, n_syllables: int = 3) -> str:
-    return "".join(rng.choice(_SYLLABLES) for _ in range(n_syllables))
+def _pseudo_word(rng: np.random.Generator) -> str:
+    return "".join(rng.choice(_SYLLABLES) for _ in range(3))
 
 
 def random_document(

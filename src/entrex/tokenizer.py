@@ -166,7 +166,7 @@ def load_vocab(path: str | Path) -> Vocabulary:
     return Vocabulary.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def split_tokens(text: str, mentions: Sequence[Mention] = ()) -> list[tuple[int, int, str]]:
+def split_tokens(text: str, mentions: Sequence[Mention]) -> list[tuple[int, int, str]]:
     """Lower-cased (start, end, token) triples with mention-boundary cuts."""
     cuts = sorted({m.start for m in mentions} | {m.end for m in mentions} | {0, len(text)})
     out: list[tuple[int, int, str]] = []

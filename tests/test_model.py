@@ -67,6 +67,18 @@ def test_loss_weights_validation():
         LossWeights(lambda_rel=0.0, lambda_nov=0.0)
 
 
+def test_model_keeps_the_vocabulary_that_sizes_it():
+    model, vocab = _tiny_model()
+    assert model.vocab is vocab
+    shapes = {name: p.data.shape for name, p in model.params.items()}
+    assert shapes["emb.token"] == (len(vocab), 8)
+    for bias, labels in (
+        ("head.identifier.b", vocab.identifier_labels), ("head.type.b", vocab.type_labels),
+        ("head.relation.b2", vocab.relation_labels), ("head.novelty.b2", vocab.novelty_labels),
+    ):
+        assert shapes[bias] == (len(labels),), bias
+
+
 def test_encode_output_shape():
     model, _ = _tiny_model()
     for n in (1, 5, 16):

@@ -1,6 +1,8 @@
 """The pipeline: one training step, the transfer, the decode rule, and whole runs."""
 
+import ast
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -25,6 +27,14 @@ def _one_pair(seed=0):
     return mdl, vocab, doc, tokenizer.tokenize_document(doc, vocab), corpus.candidate_pairs(doc)[0]
 
 
+def _load_tracing():
+    """A fresh copy of the benchmark's tracer module, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def _rig_logits(mdl, head, logits):
     """Make ``head``'s logits equal ``logits`` whatever the input."""
     mdl.params[f"head.{head}.w2"].data[:] = 0.0
@@ -39,13 +49,13 @@ def test_predict_pair_decode_rule():
 
     _rig_logits(mdl, "relation", np.arange(n_rel, 0, -1))  # index 0 largest
     _rig_logits(mdl, "novelty", [0.0, 1.0, 9.0])  # Novel favoured
-    assert pipeline.predict_pair(mdl, vocab, tok, doc, pair) is None
+    assert pipeline.predict_pair(mdl, tok, doc, pair) is None
 
     for r in range(1, n_rel):
         _rig_logits(mdl, "relation", np.eye(n_rel)[r] * 5.0)
         for novelty_logits, n in (([9.0, 2.0, 1.0], 1), ([9.0, 1.0, 2.0], 2)):  # NoneClass is the largest
             _rig_logits(mdl, "novelty", novelty_logits)
-            got = pipeline.predict_pair(mdl, vocab, tok, doc, pair)
+            got = pipeline.predict_pair(mdl, tok, doc, pair)
             assert got == corpus.RelationAnnotation(
                 pair.src_id, pair.tgt_id, vocab.relation_labels[r], vocab.novelty_labels[n]
             )
@@ -61,7 +71,7 @@ def test_steps_reject_a_non_finite_loss_before_backward():
         (
             "head.relation.b2",
             f"PMID {doc.pmid} pair {pair.src_id}/{pair.tgt_id}: non-finite loss",
-            lambda s: pipeline.finetune_step(mdl, vocab, tok, doc, pair, s, rng),
+            lambda s: pipeline.finetune_step(mdl, tok, doc, pair, s, rng),
         ),
     ]
     for bias, message, step in steps:
@@ -83,7 +93,7 @@ def test_predict_pair_rejects_non_finite_logits(head):
     _rig_logits(mdl, "relation", np.arange(len(vocab.relation_labels), 0, -1))  # would decode as no relation
     mdl.params[f"head.{head}.b2"].data[1] = np.nan
     with pytest.raises(FloatingPointError, match=f"PMID {doc.pmid} pair .*: non-finite logits"):
-        pipeline.predict_pair(mdl, vocab, tok, doc, pair)
+        pipeline.predict_pair(mdl, tok, doc, pair)
 
 
 def test_transfer_keeps_the_encoder_and_restarts_the_heads():
@@ -91,7 +101,7 @@ def test_transfer_keeps_the_encoder_and_restarts_the_heads():
     init = mdl.state_arrays()
     pretrained = RelationModel(TINY, vocab, np.random.default_rng(4)).state_arrays()
     mdl.load_state(pretrained)  # as pretraining leaves it, heads included
-    pipeline.transfer(mdl, init, pretrained)
+    pipeline.transfer(mdl, init)
     for name, p in mdl.params.items():
         np.testing.assert_array_equal(p.data, (init if name.startswith("head.") else pretrained)[name], err_msg=name)
 
@@ -103,7 +113,7 @@ def test_training_run_is_bit_identical_on_rerun():
     runs = []
     for seed in (5, 5, 6):
         mdl, pretrain_losses, finetune_losses = pipeline.run(train, vocab, TINY, 1e-3, 2, 2, seed)
-        text = corpus.write_pubtator(dev, pipeline.predict(mdl, dev, vocab))
+        text = corpus.write_pubtator(dev, pipeline.predict(mdl, dev))
         runs.append((pretrain_losses, finetune_losses, mdl.state_arrays(), text))
     (pre_a, fine_a, state_a, text_a), (pre_b, fine_b, state_b, text_b), (pre_c, *_) = runs
     n_pairs = sum(len(corpus.candidate_pairs(doc)) for doc in train)
@@ -117,18 +127,46 @@ def test_training_run_is_bit_identical_on_rerun():
     assert corpus.parse_pubtator(text_a)[0].pmid == dev[0].pmid
 
 
+def test_run_arms_of_one_seed_share_their_heads():
+    """Arm (a), no pretraining, and arm (b), two epochs of it, start fine-tuning from the same heads."""
+    train = synthetic.fixture_train_corpus()
+    vocab = tokenizer.build_vocab(train)
+    for seed in (1, 2):
+        mdl_a, pretrain_a, _ = pipeline.run(train, vocab, TINY, 1e-3, 0, 0, seed)
+        mdl_b, pretrain_b, _ = pipeline.run(train, vocab, TINY, 1e-3, 2, 0, seed)
+        assert pretrain_a == [] and len(pretrain_b) == 2 * len(train)
+        state_a, state_b = mdl_a.state_arrays(), mdl_b.state_arrays()
+        for name in state_a:
+            same = np.array_equal(state_a[name], state_b[name])
+            assert same == name.startswith("head."), name
+
+
+def test_library_calls_traced_functions_by_module_attribute():
+    """A ``from .<module> import <name>`` of a function the tracer wraps would call it unseen."""
+    wrapped = {(owner.__name__, attr) for owner, attr in _load_tracing().SPANS.values() if inspect.ismodule(owner)}
+    found = []
+    for path in sorted((ROOT / "src" / "entrex").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found += [
+                    f"{path.name}: from .{node.module} import {alias.name}"
+                    for alias in node.names
+                    if (f"entrex.{node.module}", alias.name) in wrapped
+                ]
+    assert found == []
+
+
 def test_traced_counts_of_a_run_and_a_prediction():
     """The benchmark's tracer sees every step: the pipeline calls library functions by module attribute."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
+    tracing.ALSO_WRAPPED.clear()  # so a call that bypasses a wrapped module attribute goes uncounted
     train, dev = synthetic.fixture_train_corpus(), synthetic.fixture_dev_corpus()
     vocab = tokenizer.build_vocab(train + dev)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         mdl, pretrain_losses, finetune_losses = pipeline.run(train, vocab, TINY, 1e-3, 1, 1, seed=1)
-        pipeline.predict(mdl, dev, vocab)
+        pipeline.predict(mdl, dev)
     finally:
         tracer.uninstall()
     instances = tracer.counts["masking.build_pretraining_instances.instances"]
@@ -138,6 +176,8 @@ def test_traced_counts_of_a_run_and_a_prediction():
     assert tracer.calls["optim.adam_step"] == instances + steps
     assert tracer.calls["model.finetune_loss"] == steps
     assert tracer.calls["tokenizer.insert_pair_tags"] == steps + predicted_pairs
+    # masking, fine-tuning and prediction each tokenize their documents once
+    assert tracer.calls["tokenizer.tokenize_document"] == instances + len(train) + len(dev) == 18
 
 
 def test_fixture_run_fits_train_and_finds_the_test_pairs():
@@ -153,7 +193,7 @@ def test_fixture_run_fits_train_and_finds_the_test_pairs():
     mdl, _, _ = pipeline.run(train, vocab, cfg, 3e-4, 20, 100, seed=1)
 
     def f1(docs):
-        report = evaluation.evaluate(docs, pipeline.predict(mdl, docs, vocab))
+        report = evaluation.evaluate(docs, pipeline.predict(mdl, docs))
         return {level: m.f1 for level, m in report.levels.items()}
 
     train_f1, test_f1 = f1(train), f1(test)

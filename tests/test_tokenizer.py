@@ -158,7 +158,7 @@ def test_mention_boundary_forcing():
 
 
 def test_empty_text_tokenizes_empty():
-    assert split_tokens("") == []
+    assert split_tokens("", []) == []
 
 
 def test_mention_reassembly_oracle():
