@@ -282,8 +282,8 @@ def gelu(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout, training mode only; ``EncoderConfig`` checks that ``p`` is in [0, 1)."""
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    keep = keep.astype(x.data.dtype)
+    dtype = x.data.dtype
+    keep = (rng.random(x.data.shape) >= p).astype(dtype) * dtype.type(1.0 / (1.0 - p))
     out = x.data * keep
 
     def backward(g):

@@ -16,11 +16,17 @@ PMID plus the offending offsets or identifier pair.  Predicted relations,
 which come from outside a document, pass the same relation rules in
 :func:`validate_predictions`.  Neither kind may carry the reserved
 ``NO_RELATION_LABEL``, which marks a candidate pair without a relation.
+
+The parser interns every annotation field it stores (``sys.intern``), so
+a long corpus holds each repeated type, identifier and label once, and
+the records (:class:`Mention`, :class:`RelationAnnotation`,
+:class:`PairCandidate`) are slotted: they carry no ``__dict__``.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Collection, Container, Iterable, Mapping
 
@@ -51,7 +57,7 @@ def canonical_pair(id_a: str, id_b: str) -> tuple[str, str]:
     return (id_a, id_b) if id_a <= id_b else (id_b, id_a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     """One entity mention: a character span plus its concept annotations."""
 
@@ -62,7 +68,7 @@ class Mention:
     identifiers: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationAnnotation:
     """A typed, novelty-labeled relation between two concept identifiers."""
 
@@ -153,7 +159,7 @@ class Document:
         return sorted(i for i in self.mention_identifiers() if i != NULL_IDENTIFIER)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairCandidate:
     """One unordered identifier pair, labeled from gold relations when present."""
 
@@ -261,11 +267,11 @@ def _parse_block(numbered: list[tuple[int, str]]) -> Document:
         if len(fields) == 6:
             start = _parse_int_offset(fields[1], "start offset", pmid, line_no)
             end = _parse_int_offset(fields[2], "end offset", pmid, line_no)
-            surface, entity_type, id_field = fields[3], fields[4], fields[5]
-            identifiers = tuple(i.strip() for i in id_field.split(","))
+            surface, entity_type = sys.intern(fields[3]), sys.intern(fields[4])
+            identifiers = tuple(sys.intern(i.strip()) for i in fields[5].split(","))
             mentions.append(Mention(start, end, surface, entity_type, identifiers))
         elif len(fields) == 5:
-            _, relation_type, id_a, id_b, novelty = fields
+            relation_type, id_a, id_b, novelty = map(sys.intern, fields[1:])
             relations.append(RelationAnnotation(id_a, id_b, relation_type, novelty))
         else:
             raise CorpusError(

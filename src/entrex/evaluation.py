@@ -8,10 +8,9 @@ documents (micro averaging) before the metrics are computed.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import Collection, Mapping, Sequence
 
 from .corpus import Document, RelationAnnotation, validate_predictions
@@ -22,25 +21,6 @@ class MatchLevel(Enum):
     PAIR_TYPE = "pair+type"
     PAIR_NOVELTY = "pair+novelty"
     PAIR_TYPE_NOVELTY = "pair+type+novelty"
-
-
-# Which fields of the full key (pmid, pair_key, relation_type, novelty)
-# each level matches on.
-_PROJECTIONS = {
-    MatchLevel.PAIR: itemgetter(0, 1),
-    MatchLevel.PAIR_TYPE: itemgetter(0, 1, 2),
-    MatchLevel.PAIR_NOVELTY: itemgetter(0, 1, 3),
-    MatchLevel.PAIR_TYPE_NOVELTY: itemgetter(0, 1, 2, 3),
-}
-
-
-def _full_key(pmid: str, rel: RelationAnnotation) -> tuple:
-    return (pmid, rel.pair_key(), rel.relation_type, rel.novelty)
-
-
-def _counts(gold_keys: set, pred_keys: set) -> tuple[int, int, int]:
-    tp = len(gold_keys & pred_keys)
-    return tp, len(pred_keys) - tp, len(gold_keys) - tp
 
 
 def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -104,23 +84,37 @@ def evaluate(
 ) -> MetricsReport:
     """Score predictions against gold relations, pooled across documents.
 
-    The predictions are checked by :func:`~entrex.corpus.validate_predictions`
-    with the relation rules each gold :class:`~entrex.corpus.Document` passed
-    when it was constructed, so every relation is one pair of its document
-    and keys are unique at every level.
+    :func:`~entrex.corpus.validate_predictions` checks the predictions with
+    the relation rules each gold :class:`~entrex.corpus.Document` passed, so
+    PMIDs are unique and a document holds at most one relation per pair,
+    gold or predicted.  That makes one dict from ``(pmid, pair_key)`` to the
+    gold relation exact: a prediction can match only the relation it finds
+    there, and a level's TP counts the matches that agree on the fields the
+    level names.  FP is predictions minus TP, and FN is gold minus TP.
     """
     validate_predictions(gold_corpus, predictions)
-    gold_keys = [_full_key(doc.pmid, rel) for doc in gold_corpus for rel in doc.relations]
-    pred_keys = [_full_key(pmid, rel) for pmid, rels in predictions.items() for rel in rels]
-    key_sets = {
-        level: (set(map(_PROJECTIONS[level], gold_keys)), set(map(_PROJECTIONS[level], pred_keys)))
-        for level in MatchLevel
+    gold = {(doc.pmid, rel.pair_key()): rel for doc in gold_corpus for rel in doc.relations}
+    gold_by_type = Counter(rel.relation_type for rel in gold.values())
+    pred_by_type, tp_by_type = Counter(), Counter()
+    tp_pair = tp_type = tp_novelty = tp_both = 0
+    for pmid, rels in predictions.items():
+        for rel in rels:
+            pred_by_type[rel.relation_type] += 1
+            match = gold.get((pmid, rel.pair_key()))
+            if match is not None:
+                same_type, same_novelty = match.relation_type == rel.relation_type, match.novelty == rel.novelty
+                tp_pair += 1
+                tp_type += same_type
+                tp_novelty += same_novelty
+                tp_both += same_type and same_novelty
+                tp_by_type[rel.relation_type] += same_type
+    n_pred = pred_by_type.total()
+    tp = dict(zip(MatchLevel, (tp_pair, tp_type, tp_novelty, tp_both)))  # in MatchLevel's declared order
+    levels = {
+        level: LevelMetrics.from_counts(tp[level], n_pred - tp[level], len(gold) - tp[level]) for level in MatchLevel
     }
-    levels = {level: LevelMetrics.from_counts(*_counts(*sets)) for level, sets in key_sets.items()}
-    # Per relation type: the pair+type keys grouped by their type field.
-    by_type: defaultdict[str, tuple[set, set]] = defaultdict(lambda: (set(), set()))
-    for side, keys in enumerate(key_sets[MatchLevel.PAIR_TYPE]):
-        for key in keys:
-            by_type[key[2]][side].add(key)
-    per_type = {t: LevelMetrics.from_counts(*_counts(*by_type[t])) for t in sorted(by_type)}
+    per_type = {
+        t: LevelMetrics.from_counts(tp_by_type[t], pred_by_type[t] - tp_by_type[t], gold_by_type[t] - tp_by_type[t])
+        for t in sorted(gold_by_type.keys() | pred_by_type.keys())
+    }
     return MetricsReport(levels=levels, per_relation_type=per_type)

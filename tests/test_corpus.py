@@ -13,6 +13,7 @@ from entrex.corpus import (
     CorpusError,
     Document,
     Mention,
+    PairCandidate,
     RelationAnnotation,
     candidate_pairs,
     canonical_pair,
@@ -388,3 +389,18 @@ def test_random_documents_satisfy_mention_invariant():
         doc = random_document(rng, str(i))
         for m in doc.mentions:
             assert doc.full_text[m.start:m.end] == m.surface
+
+
+def test_parser_shares_its_strings_and_records_carry_no_dict():
+    """Equal identifiers, types and labels of a parsed corpus are one object,
+    and its records are slotted, so a long corpus holds each value once."""
+    docs = parse_pubtator(write_pubtator(random_corpus(np.random.default_rng(4), 20, max_identifiers=12)))
+    values = [v for d in docs for m in d.mentions for v in (m.entity_type, *m.identifiers)]
+    values += [v for d in docs for r in d.relations for v in (r.id_a, r.id_b, r.relation_type, r.novelty)]
+    first: dict[str, str] = {}
+    assert all(first.setdefault(v, v) is v for v in values)
+    assert len(values) > 2 * len(first)
+    records = [m for d in docs for m in d.mentions] + [r for d in docs for r in d.relations]
+    records += [p for d in docs for p in candidate_pairs(d)]
+    assert {type(r) for r in records} == {Mention, RelationAnnotation, PairCandidate}
+    assert not any(hasattr(r, "__dict__") for r in records)

@@ -163,6 +163,12 @@ def test_counts_match_reference_on_random_predictions(seed):
         if rels or rng.random() < 0.5:
             predictions[doc.pmid] = rels
 
+    report = _assert_counts_match_reference(docs, predictions)
+    assert report.levels[MatchLevel.PAIR].tp > 0
+
+
+def _assert_counts_match_reference(docs, predictions):
+    """``evaluate``'s counts at every level and per type equal the reference's."""
     report = evaluate(docs, predictions)
     gold_pairs = [(d.pmid, r) for d in docs for r in d.relations]
     pred_pairs = [(p, r) for p, rels in predictions.items() for r in rels]
@@ -172,4 +178,27 @@ def test_counts_match_reference_on_random_predictions(seed):
     per_type = {t: (m.tp, m.fp, m.fn) for t, m in report.per_relation_type.items()}
     assert per_type == _reference_per_type(gold_pairs, pred_pairs)
     assert list(report.per_relation_type) == sorted(per_type)
-    assert report.levels[MatchLevel.PAIR].tp > 0
+    return report
+
+
+@pytest.mark.parametrize("predicted", ["gold", "empty", "none"])
+def test_counts_match_reference_on_gold_and_empty_predictions_of_long_documents(predicted):
+    docs = random_corpus(np.random.default_rng(8), 10, min_identifiers=20, max_identifiers=30)
+    predictions = {
+        "gold": {d.pmid: d.relations for d in docs},
+        "empty": {d.pmid: () for d in docs},
+        "none": {},
+    }[predicted]
+    report = _assert_counts_match_reference(docs, predictions)
+    n_gold = sum(len(d.relations) for d in docs)
+    assert n_gold > 0
+    pair = report.levels[MatchLevel.PAIR]
+    assert (pair.tp, pair.fn) == ((n_gold, 0) if predicted == "gold" else (0, n_gold))
+
+
+def test_a_pair_gold_has_in_another_document_only_is_a_miss_and_a_false_alarm():
+    """Both documents mention X1 and Y1; gold relates them in B, the prediction in A."""
+    docs = [_doc("A", ["X1", "Y1"]), _doc("B", ["X1", "Y1"], [("X1", "Y1", "Bind", "No")])]
+    report = evaluate(docs, {"A": _rels(("Y1", "X1", "Bind", "No"))})
+    assert {lvl: (m.tp, m.fp, m.fn) for lvl, m in report.levels.items()} == dict.fromkeys(MatchLevel, (0, 1, 1))
+    assert {t: (m.tp, m.fp, m.fn) for t, m in report.per_relation_type.items()} == {"Bind": (0, 1, 1)}
