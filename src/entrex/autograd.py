@@ -231,27 +231,40 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), backward)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    # Shift, exponentiate and normalise in one buffer: the same operations in
-    # the same order as with a temporary for each, but one allocation.
-    s = x.data - x.data.max(axis=-1, keepdims=True)
+def softmax(x: Tensor, scale: float) -> Tensor:
+    """Softmax over the last axis of ``x * scale``.
+
+    The scaled copy is the one buffer that is shifted, exponentiated and
+    normalised: the operations of ``softmax(scale(x, scale))`` in the same
+    order, so the same bits, with one allocation instead of two.  Pass the
+    scale as a Python float: a NumPy float64 scalar would promote float32
+    scores to float64.
+    """
+    s = x.data * scale
+    s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(x, s * (g - dot))
+        g -= dot
+        g *= s
+        g *= scale
+        _accumulate(x, g)
 
     return _make(s, (x,), backward)
 
 
 def layer_norm(x: Tensor) -> Tensor:
-    """Normalization over the last axis with eps 1e-5, without gain or bias."""
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x.data - mean) * inv
+    """Normalization over the last axis with eps 1e-5, without gain or bias.
+
+    The centred array serves the variance and becomes xhat: the operations
+    of ``(x - x.mean()) * (1 / sqrt(x.var() + 1e-5))`` in numpy's order,
+    with one mean and one subtraction.
+    """
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat *= inv
 
     def backward(g):
         gm = g.mean(axis=-1, keepdims=True)
@@ -267,10 +280,17 @@ _GELU_A = 0.044715
 
 def gelu(x: Tensor) -> Tensor:
     # tanh approximation; derivative computed analytically below.  The cube
-    # is two products: numpy's generic power is about 100x slower.
-    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    out = 0.5 * x.data * (1.0 + t)
+    # is two products: numpy's generic power is about 100x slower.  u, then
+    # tanh(u), are built in place in one array, in the order of
+    # C * (x + A * (x * x * x)).
+    t = x.data * x.data
+    t *= x.data
+    t *= _GELU_A
+    t += x.data
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x.data
+    out *= 1.0 + t
 
     def backward(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data**2)
@@ -303,10 +323,9 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = x.data.transpose(axes)
-    inverse = np.argsort(axes)
 
-    def backward(g):
-        _accumulate(x, g.transpose(inverse))
+    def backward(g):  # the inverse permutation only here: inference forwards never need it
+        _accumulate(x, g.transpose(np.argsort(axes)))
 
     return _make(out, (x,), backward)
 

@@ -269,11 +269,13 @@ def insert_pair_tags(
         if role not in tagged:
             raise ValueError(f"identifier {ident!r} not present in document {doc.pmid}")
     body: list[int] = []
-    for j in range(len(tok.token_ids) + 1):
+    start = 0  # tags at position j go before token j, closing tags first
+    for j in sorted(opens.keys() | closes.keys()):
+        body.extend(tok.token_ids[start:j])
         body.extend(closes.get(j, ()))
-        if j < len(tok.token_ids):
-            body.extend(opens.get(j, ()))
-            body.append(tok.token_ids[j])
+        body.extend(opens.get(j, ()))
+        start = j
+    body.extend(tok.token_ids[start:])
     out = frame(body, max_len)
     if len(out) - 2 < len(body):
         tags = vocab.tag_ids()

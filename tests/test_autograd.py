@@ -29,12 +29,12 @@ def _project(out: Tensor, rng) -> Tensor:
 
 class TestForwardValues:
     def test_softmax_symmetry(self):
-        s = ag.softmax(Tensor(np.array([0.0, 0.0])))
+        s = ag.softmax(Tensor(np.array([0.0, 0.0])), 1.0)
         np.testing.assert_allclose(s.data, [0.5, 0.5])
 
     def test_softmax_rows_sum_to_one(self):
         x = Tensor(_rng(1).standard_normal((4, 7)) * 5)
-        s = ag.softmax(x).data
+        s = ag.softmax(x, 1.0).data
         assert (s >= 0).all()
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -48,8 +48,8 @@ class TestForwardValues:
         e = np.exp(data - data.max(axis=-1, keepdims=True))
         expected = e / e.sum(axis=-1, keepdims=True)
         x = parameter(data)
-        s = ag.softmax(x)
-        s._backward_fn(g)
+        s = ag.softmax(x, 1.0)
+        s._backward_fn(g.copy())  # a closure owns, and may overwrite, the gradient it is handed
         assert s.data.dtype == dtype
         assert np.array_equal(s.data, expected)
         assert np.array_equal(x.grad, expected * (g - (g * expected).sum(axis=-1, keepdims=True)))
@@ -185,11 +185,13 @@ class TestGradients:
         )
 
     def test_softmax_axes(self):
-        """Softmax runs over the last axis, of a matrix and of the [h, m, n] attention scores."""
+        """Softmax runs over the last axis, of a matrix and of the [h, m, n] attention
+        scores, which it scales first."""
         rng = _rng(17)
         for shape in ((3, 4), (2, 3, 4)):
-            x = _rand(rng, *shape)
-            check_gradients(lambda: _project(ag.softmax(x), _rng(99)), {"x": x})
+            for scale in (1.0, 0.35):
+                x = _rand(rng, *shape)
+                check_gradients(lambda: _project(ag.softmax(x, scale), _rng(99)), {"x": x})
 
     def test_layer_norm(self):
         rng = _rng(18)

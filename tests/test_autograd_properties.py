@@ -51,6 +51,64 @@ def test_gelu_float32_without_cancellation_within_few_ulp(x):
     np.testing.assert_array_max_ulp(ag.gelu(Tensor(x)).data, _gelu_reference(x), maxulp=4)
 
 
+def _parent_softmax(x, c, g):
+    """softmax(scale(x, c)) as the two ops computed it: the output, and x's gradient from g."""
+    y = x * c
+    e = np.exp(y - y.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    return s, s * (g - (g * s).sum(axis=-1, keepdims=True)) * c
+
+
+def _parent_layer_norm(x, g):
+    mean = x.mean(axis=-1, keepdims=True)
+    inv = 1 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mean) * inv
+    gx = (g - g.mean(axis=-1, keepdims=True) - xhat * (g * xhat).mean(axis=-1, keepdims=True)) * inv
+    return xhat, gx
+
+
+def _parent_gelu(x, g):
+    C, A = ag._GELU_C, ag._GELU_A
+    u = C * (x + A * (x * x * x))
+    t = np.tanh(u)
+    du = C * (1.0 + 3.0 * A * x**2)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+
+
+_KERNELS = {
+    "softmax": (lambda x, c: ag.softmax(x, c), _parent_softmax),
+    "layer_norm": (lambda x, c: ag.layer_norm(x), lambda x, c, g: _parent_layer_norm(x, g)),
+    "gelu": (lambda x, c: ag.gelu(x), lambda x, c, g: _parent_gelu(x, g)),
+}
+
+
+@st.composite
+def _kernel_inputs(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=9))
+    width = np.dtype(dtype).itemsize * 8
+    x = draw(hnp.arrays(dtype, shape, elements=st.floats(-50, 50, width=width)))
+    g = draw(hnp.arrays(dtype, shape, elements=st.floats(-10, 10, width=width)))
+    scale = draw(st.floats(0.01, 4.0))  # a Python float, as the model passes it
+    return x, g, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel=st.sampled_from(sorted(_KERNELS)), inputs=_kernel_inputs())
+def test_kernels_bit_identical_to_the_parent_formulas(kernel, inputs):
+    """softmax(x, c), layer_norm and gelu write fewer arrays than the
+    formulas they replace, in the same operations and order: the same bits
+    forward and backward, in float32 and float64."""
+    x, g, scale = inputs
+    op, reference = _KERNELS[kernel]
+    out_ref, grad_ref = reference(x, scale, g)
+    t = parameter(x.copy())
+    out = op(t, scale)
+    out._backward_fn(g.copy())
+    np.testing.assert_array_equal(out.data, out_ref, strict=True)
+    np.testing.assert_array_equal(t.grad, grad_ref, strict=True)
+
+
 def _textbook_adam(p, grads, lr):
     """Allocating Adam with the module's constants: a fresh array for every intermediate."""
     m = np.zeros_like(p)

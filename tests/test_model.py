@@ -1,5 +1,6 @@
 """Encoder, head, and loss tests, including an independent numpy forward."""
 
+import functools
 import math
 import platform
 import resource
@@ -22,7 +23,7 @@ from entrex.model import (
 from entrex.optim import AdamState
 from entrex.pipeline import train_step
 from entrex.tokenizer import PAD_ID, Vocabulary, tag_tokens_for_types
-from gradcheck import check_gradients
+from gradcheck import check_gradients, mean_all
 
 
 def _tiny_vocab(n_words=12):
@@ -82,19 +83,19 @@ def test_model_keeps_the_vocabulary_that_sizes_it():
 def test_encode_output_shape():
     model, _ = _tiny_model()
     for n in (1, 5, 16):
-        hidden = model.encode(np.arange(n) % 10 + 3)  # ids 3..12: no PAD
+        hidden = model.encode(np.arange(n) % 10 + 3, np.arange(n))  # ids 3..12: no PAD
         assert hidden.data.shape == (n, 8)
 
 
 def test_encode_rejects_bad_input():
     model, _ = _tiny_model()
     with pytest.raises(ValueError, match="max_len"):
-        model.encode(np.zeros(17, dtype=int))
+        model.encode(np.zeros(17, dtype=int), [0])
     with pytest.raises(ValueError, match="out of range"):
-        model.encode(np.array([10_000]))
+        model.encode(np.array([10_000]), [0])
     for ids in ([0, 5.7, 6.2, 1], [0.0, 6.0, 1.0]):  # not truncated to integers
         with pytest.raises(ValueError, match="integers"):
-            model.encode(ids)
+            model.encode(ids, [0])
         with pytest.raises(ValueError, match="integers"):
             model.finetune_forward(ids)
 
@@ -103,7 +104,7 @@ def test_encode_rejects_pad():
     model, _ = _tiny_model()
     for ids in ([0, 6, 7, 8, 1, PAD_ID, PAD_ID], [PAD_ID], [0, PAD_ID, 7, 1]):
         with pytest.raises(ValueError, match="PAD_ID"):
-            model.encode(np.array(ids))
+            model.encode(np.array(ids), [0])
         with pytest.raises(ValueError, match="PAD_ID"):
             model.finetune_forward(np.array(ids))
 
@@ -144,7 +145,7 @@ def _reference_encode(model, ids):
 def test_encoder_matches_reference_forward():
     model, _ = _tiny_model(seed=3)
     ids = np.array([0, 7, 9, 11, 10, 1])
-    got = model.encode(ids).data
+    got = model.encode(ids, np.arange(len(ids))).data
     np.testing.assert_allclose(got, _reference_encode(model, ids), atol=1e-12)
 
 
@@ -168,35 +169,85 @@ def test_finetune_logits_match_reference_forward():
     np.testing.assert_allclose(nov.data, nov_ref[0], atol=1e-12)
 
 
+def _reference_tape(model, ids):
+    """The encoder forward with every block at every row, on the tape: the
+    straight-line all-row attention, with keys and values projected."""
+    cfg, P = model.cfg, model.params
+    n, h, d = len(ids), cfg.n_heads, cfg.d_model
+    dh = d // h
+
+    def ln(x, prefix):
+        return ag.add(ag.mul(ag.layer_norm(x), P[f"{prefix}.g"]), P[f"{prefix}.b"])
+
+    def linear(x, w, b):
+        return ag.add(ag.matmul(x, P[w]), P[b])
+
+    def heads(x):  # [n, d] -> [h, n, dh]
+        return ag.transpose(ag.reshape(x, (n, h, dh)), (1, 0, 2))
+
+    x = ag.add(ag.embedding_lookup(P["emb.token"], ids), ag.slice_rows(P["emb.pos"], 0, n))
+    for i in range(cfg.n_layers):
+        a, f = f"enc{i}.attn.", f"enc{i}.ffn."
+        xn = ln(x, f"enc{i}.ln1")
+        q, k, v = (heads(linear(xn, a + "w" + c, a + "b" + c)) for c in "qkv")
+        scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+        ctx = ag.reshape(ag.transpose(ag.matmul(ag.softmax(scores, 1.0), v), (1, 0, 2)), (n, d))
+        x = ag.add(x, linear(ctx, a + "wo", a + "bo"))
+        ff = ag.gelu(linear(ln(x, f"enc{i}.ln2"), f + "w1", f + "b1"))
+        x = ag.add(x, linear(ff, f + "w2", f + "b2"))
+    return ln(x, "final.ln")
+
+
+_ROW_IDS = np.array([0, 6, 9, 8, 7, 11, 10, 1])
+_ROW_INSTANCE = MaskedInstance(
+    "1", tuple(_ROW_IDS.tolist()), (MaskedTarget(2, 5, 1, 0), MaskedTarget(6, 7, 2, 1))
+)
+
+
 @pytest.mark.parametrize("n_layers", [1, 2])
-def test_cls_only_forward_matches_full_encoding(n_layers):
-    """finetune_forward == heads over row 0 of the full encoding, with gradients."""
+@pytest.mark.parametrize(
+    "rows, heads",
+    [
+        ([0], lambda m: m.finetune_forward(_ROW_IDS, train=True)),
+        ([2, 3, 4, 6], lambda m: (m.pretrain_loss(_ROW_INSTANCE, train=True),)),
+        (list(range(len(_ROW_IDS))), lambda m: (m.encode(_ROW_IDS, np.arange(len(_ROW_IDS)), train=True),)),
+    ],
+    ids=["cls", "masked targets", "all rows"],
+)
+def test_row_selection_matches_full_encoding(rows, heads, n_layers, monkeypatch):
+    """encode at ``rows``, and the heads that read those rows, equal the same
+    rows and heads over the full encoding: values and every parameter gradient."""
     model, _ = _tiny_model(seed=21, n_layers=n_layers)
-    ids = np.array([0, 6, 9, 8, 7, 1])
-    assert model.encode(ids, cls_only=True).data.shape == (1, 8)
+    np.testing.assert_allclose(
+        model.encode(_ROW_IDS, rows).data, _reference_encode(model, _ROW_IDS)[rows], rtol=0, atol=1e-12
+    )
 
-    def full_path():
-        cls = ag.slice_rows(model.encode(ids, train=True), 0, 1)
-        p = model.params
-        return model._mlp_head(cls, p, "relation"), model._mlp_head(cls, p, "novelty")
-
-    def run(forward):
-        rel, nov = forward()
-        finetune_loss(rel, nov, 2, 1, LossWeights()).backward()
-        grads = {}
-        for name, p in model.finetune_parameters().items():
-            assert p.grad is not None, name
-            grads[name] = p.grad
+    def run():
+        outs = heads(model)
+        rng = np.random.default_rng(0)
+        terms = [mean_all(ag.mul(o, Tensor(rng.standard_normal(o.data.shape)))) for o in outs]
+        functools.reduce(ag.add, terms).backward()
+        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+        for p in model.params.values():
             p.grad = None
-        return rel.data, nov.data, grads
+        return [o.data for o in outs], grads
 
-    rel, nov, grads = run(lambda: model.finetune_forward(ids, train=True))
-    rel_ref, nov_ref, grads_ref = run(full_path)
-    np.testing.assert_allclose(rel, rel_ref, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(nov, nov_ref, rtol=0, atol=1e-12)
-    assert grads.keys() == grads_ref.keys()
+    outs, grads = run()
+    read = []
+
+    def full_encoding(token_ids, rows, train=False, rng=None):
+        read.append(np.asarray(rows).tolist())
+        return ag.embedding_lookup(_reference_tape(model, token_ids), rows)
+
+    monkeypatch.setattr(model, "encode", full_encoding)
+    ref_outs, ref_grads = run()
+    assert read == [rows]
+    for out, ref in zip(outs, ref_outs, strict=True):
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    assert {n for n in grads if n.startswith("enc")} == {n for n in model.params if n.startswith("enc")}
     for name in grads:
-        np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def _instance(targets, length=10):
@@ -278,8 +329,8 @@ def test_inference_forward_equals_training_forward_without_a_tape():
     ids = np.array([0, 6, 9, 8, 7, 11, 1])
     inst = _instance([(2, 4, 1, 0), (6, 8, 2, 1)])
     pairs = [
-        (model.encode(ids), model.encode(ids, train=True)),
-        (model.encode(ids, cls_only=True), model.encode(ids, train=True, cls_only=True)),
+        (model.encode(ids, np.arange(len(ids))), model.encode(ids, np.arange(len(ids)), train=True)),
+        (model.encode(ids, [0]), model.encode(ids, [0], train=True)),
         *zip(model.finetune_forward(ids), model.finetune_forward(ids, train=True)),
         (model.pretrain_loss(inst), model.pretrain_loss(inst, train=True)),
     ]
@@ -385,8 +436,8 @@ def test_inference_forward_equals_training_forward_over_random_configs(
     ]
     inst = MaskedInstance("1", tuple(ids.tolist()), tuple(targets))
     pairs = [
-        (model.encode(ids), model.encode(ids, train=True)),
-        (model.encode(ids, cls_only=True), model.encode(ids, train=True, cls_only=True)),
+        (model.encode(ids, np.arange(len(ids))), model.encode(ids, np.arange(len(ids)), train=True)),
+        (model.encode(ids, [0]), model.encode(ids, [0], train=True)),
         *zip(model.finetune_forward(ids), model.finetune_forward(ids, train=True)),
         (model.pretrain_loss(inst), model.pretrain_loss(inst, train=True)),
     ]
@@ -481,9 +532,10 @@ def test_end_to_end_pretrain_gradient_check():
 def test_dropout_training_is_seeded_and_differs_from_eval():
     model, _ = _tiny_model(seed=17, dropout=0.3)
     ids = np.array([0, 6, 7, 1])
-    a = model.encode(ids, train=True, rng=np.random.default_rng(5)).data
-    b = model.encode(ids, train=True, rng=np.random.default_rng(5)).data
-    c = model.encode(ids).data
+    rows = np.arange(len(ids))
+    a = model.encode(ids, rows, train=True, rng=np.random.default_rng(5)).data
+    b = model.encode(ids, rows, train=True, rng=np.random.default_rng(5)).data
+    c = model.encode(ids, rows).data
     np.testing.assert_array_equal(a, b)
     assert not np.allclose(a, c)
 
