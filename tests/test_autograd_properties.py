@@ -51,7 +51,7 @@ def test_gelu_float32_without_cancellation_within_few_ulp(x):
     np.testing.assert_array_max_ulp(ag.gelu(Tensor(x)).data, _gelu_reference(x), maxulp=4)
 
 
-def _parent_softmax(x, c, g):
+def _unfused_softmax(x, c, g):
     """softmax(scale(x, c)) as the two ops computed it: the output, and x's gradient from g."""
     y = x * c
     e = np.exp(y - y.max(axis=-1, keepdims=True))
@@ -59,7 +59,7 @@ def _parent_softmax(x, c, g):
     return s, s * (g - (g * s).sum(axis=-1, keepdims=True)) * c
 
 
-def _parent_layer_norm(x, g):
+def _unfused_layer_norm(x, g):
     mean = x.mean(axis=-1, keepdims=True)
     inv = 1 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
     xhat = (x - mean) * inv
@@ -67,7 +67,7 @@ def _parent_layer_norm(x, g):
     return xhat, gx
 
 
-def _parent_gelu(x, g):
+def _unfused_gelu(x, g):
     C, A = ag._GELU_C, ag._GELU_A
     u = C * (x + A * (x * x * x))
     t = np.tanh(u)
@@ -76,9 +76,9 @@ def _parent_gelu(x, g):
 
 
 _KERNELS = {
-    "softmax": (lambda x, c: ag.softmax(x, c), _parent_softmax),
-    "layer_norm": (lambda x, c: ag.layer_norm(x), lambda x, c, g: _parent_layer_norm(x, g)),
-    "gelu": (lambda x, c: ag.gelu(x), lambda x, c, g: _parent_gelu(x, g)),
+    "softmax": (lambda x, c: ag.softmax(x, c), _unfused_softmax),
+    "layer_norm": (lambda x, c: ag.layer_norm(x), lambda x, c, g: _unfused_layer_norm(x, g)),
+    "gelu": (lambda x, c: ag.gelu(x), lambda x, c, g: _unfused_gelu(x, g)),
 }
 
 
@@ -95,7 +95,7 @@ def _kernel_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(kernel=st.sampled_from(sorted(_KERNELS)), inputs=_kernel_inputs())
-def test_kernels_bit_identical_to_the_parent_formulas(kernel, inputs):
+def test_kernels_bit_identical_to_the_unfused_formulas(kernel, inputs):
     """softmax(x, c), layer_norm and gelu write fewer arrays than the
     formulas they replace, in the same operations and order: the same bits
     forward and backward, in float32 and float64."""
