@@ -235,7 +235,7 @@ def validate_predictions(
 
 
 def _parse_int_offset(field: str, what: str, pmid: str, line_no: int) -> int:
-    if not field.isdigit():
+    if not (field.isascii() and field.isdigit()):
         raise CorpusError(f"{what} {field!r} is not a non-negative integer", pmid, line_no)
     return int(field)
 

@@ -119,7 +119,9 @@ class RelationModel:
             p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"] = ones(d), zeros(d)
             for name in ("wq", "wk", "wv", "wo"):
                 p[f"{pre}.attn.{name}"] = normal(d, d)
-            for name in ("bq", "bk", "bv", "bo"):
+            # No key bias: it adds q.b_k to every score of a query row, and
+            # softmax is shift-invariant, so it could change no output.
+            for name in ("bq", "bv", "bo"):
                 p[f"{pre}.attn.{name}"] = zeros(d)
             p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"] = ones(d), zeros(d)
             p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"] = normal(d, f), zeros(f)
@@ -196,7 +198,7 @@ class RelationModel:
         h, d = self.cfg.n_heads, self.cfg.d_model
         dh = d // h
         q = _linear(xn, p[f"enc{i}.attn.wq"], p[f"enc{i}.attn.bq"])
-        k = _linear(xn, p[f"enc{i}.attn.wk"], p[f"enc{i}.attn.bk"])
+        k = ag.matmul(xn, p[f"enc{i}.attn.wk"])
         v = _linear(xn, p[f"enc{i}.attn.wv"], p[f"enc{i}.attn.bv"])
         q = ag.transpose(ag.reshape(q, (n, h, dh)), (1, 0, 2))  # [h, n, dh]
         kt = ag.transpose(ag.reshape(k, (n, h, dh)), (1, 2, 0))  # [h, dh, n]
@@ -209,8 +211,8 @@ class RelationModel:
 
         Keys and values are not projected.  Per head, with W_k,h the head's
         d x dh block of the key weights, the scores q_h k_h^T are
-        (q_h W_k,h^T) xn^T + q_h . b_k,h, and, since each row of the
-        weights w_h sums to 1, the context w_h v_h is (w_h xn) W_v,h + b_v,h.
+        (q_h W_k,h^T) xn^T, and, since each row of the weights w_h sums to
+        1, the context w_h v_h is (w_h xn) W_v,h + b_v,h.
         """
         r, n = xq.data.shape[0], xn.data.shape[0]
         h, d = self.cfg.n_heads, self.cfg.d_model
@@ -220,7 +222,6 @@ class RelationModel:
         wk = ag.transpose(ag.reshape(p[f"enc{i}.attn.wk"], (d, h, dh)), (1, 2, 0))  # [h, dh, d]
         qk = ag.reshape(ag.matmul(q, wk), (h * r, d))
         scores = ag.reshape(ag.matmul(qk, ag.transpose(xn, (1, 0))), (h, r, n))
-        scores = ag.add(scores, ag.matmul(q, ag.reshape(p[f"enc{i}.attn.bk"], (h, dh, 1))))
         weights = ag.softmax(scores, 1.0 / math.sqrt(dh))
         wx = ag.reshape(ag.matmul(ag.reshape(weights, (h * r, n)), xn), (h, r, d))
         wv = ag.transpose(ag.reshape(p[f"enc{i}.attn.wv"], (d, h, dh)), (1, 0, 2))  # [h, d, dh]

@@ -178,10 +178,9 @@ def split_tokens(text: str, mentions: Sequence[Mention]) -> list[tuple[int, int,
 
 @dataclass(frozen=True)
 class TokenizedDocument:
-    """Token ids with character spans and per-mention token ranges."""
+    """Token ids and per-mention token ranges."""
 
     token_ids: tuple[int, ...]
-    spans: tuple[tuple[int, int], ...]
     mention_token_ranges: tuple[tuple[int, int], ...]  # aligned with the document's mentions
 
 
@@ -191,15 +190,14 @@ def tokenize_document(doc: Document, vocab: Vocabulary) -> TokenizedDocument:
     holds a non-whitespace character (a :class:`Document` invariant), and
     the cuts at mention boundaries keep its token inside the mention."""
     triples = split_tokens(doc.full_text, doc.mentions)
-    spans = tuple((s, e) for s, e, _ in triples)
     token_ids = tuple(vocab.token_id(t) for _, _, t in triples)
-    # Spans are sorted and disjoint, so the tokens starting at or after a
-    # mention's start are a suffix, those ending by its end a prefix, and
+    # Token spans are sorted and disjoint, so the tokens starting at or after
+    # a mention's start are a suffix, those ending by its end a prefix, and
     # the tokens inside the mention are their (contiguous) overlap.
-    starts = [s for s, _ in spans]
-    ends = [e for _, e in spans]
+    starts = [s for s, _, _ in triples]
+    ends = [e for _, e, _ in triples]
     ranges = tuple((bisect_left(starts, m.start), bisect_right(ends, m.end)) for m in doc.mentions)
-    return TokenizedDocument(token_ids, spans, ranges)
+    return TokenizedDocument(token_ids, ranges)
 
 
 def build_vocab(corpus: Sequence[Document]) -> Vocabulary:

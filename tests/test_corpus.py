@@ -74,6 +74,9 @@ def test_multiple_blocks():
     [
         (lambda t: t.replace("42\t5\t6\tC\tChemical\tC1", "42\t5\t6\tC"), "fields"),
         (lambda t: t.replace("42\t5\t6\tC", "42\t5\t600\tC"), "out of range"),
+        # non-ASCII digits: "²" is a digit int() refuses, "٦" one it reads as 6
+        (lambda t: t.replace("42\t5\t6\tC", "42\t²\t6\tC"), "start offset '²' is not a non-negative integer"),
+        (lambda t: t.replace("42\t5\t6\tC", "42\t5\t٦\tC"), "end offset '٦' is not a non-negative integer"),
         (lambda t: t.replace("42\t5\t6\tC", "42\t5\t6\tQ"), "does not match"),
         (lambda t: t + "42\tBind\tC1\tG1\tNovel\n", "duplicate"),
         (lambda t: t.replace("C1\tG1\tNovel", "C1\tG1\tMaybe"), "novelty"),

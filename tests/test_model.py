@@ -129,7 +129,7 @@ def _reference_encode(model, ids):
     for i in range(cfg.n_layers):
         xn = ln(x, P[f"enc{i}.ln1.g"], P[f"enc{i}.ln1.b"])
         q = (xn @ P[f"enc{i}.attn.wq"] + P[f"enc{i}.attn.bq"]).reshape(n, h, dh).transpose(1, 0, 2)
-        k = (xn @ P[f"enc{i}.attn.wk"] + P[f"enc{i}.attn.bk"]).reshape(n, h, dh).transpose(1, 0, 2)
+        k = (xn @ P[f"enc{i}.attn.wk"]).reshape(n, h, dh).transpose(1, 0, 2)
         v = (xn @ P[f"enc{i}.attn.wv"] + P[f"enc{i}.attn.bv"]).reshape(n, h, dh).transpose(1, 0, 2)
         scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh)
         e = np.exp(scores - scores.max(-1, keepdims=True))
@@ -189,7 +189,8 @@ def _reference_tape(model, ids):
     for i in range(cfg.n_layers):
         a, f = f"enc{i}.attn.", f"enc{i}.ffn."
         xn = ln(x, f"enc{i}.ln1")
-        q, k, v = (heads(linear(xn, a + "w" + c, a + "b" + c)) for c in "qkv")
+        q, v = (heads(linear(xn, a + "w" + c, a + "b" + c)) for c in "qv")
+        k = heads(ag.matmul(xn, P[a + "wk"]))
         scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
         ctx = ag.reshape(ag.transpose(ag.matmul(ag.softmax(scores, 1.0), v), (1, 0, 2)), (n, d))
         x = ag.add(x, linear(ctx, a + "wo", a + "bo"))
@@ -529,6 +530,26 @@ def test_end_to_end_pretrain_gradient_check():
     assert max(errors.values()) < 1e-4
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_parameter_moves_a_loss(seed, n_layers):
+    """Each parameter a step updates gets a gradient far above rounding noise:
+    a parameter that cannot change the step's loss has no place in the model."""
+    model, _ = _tiny_model(seed=seed, n_layers=n_layers)
+    ids = np.array([0, 6, 9, 8, 7, 11, 1])
+    inst = _instance([(2, 4, 1, 0), (6, 8, 2, 1)])
+    steps = [
+        (lambda: finetune_loss(*model.finetune_forward(ids, train=True), 1, 2, LossWeights()), model.finetune_parameters()),
+        (lambda: model.pretrain_loss(inst, train=True), model.pretrain_parameters()),
+    ]
+    for forward, params in steps:
+        forward().backward()
+        largest = {name: 0.0 if p.grad is None else np.abs(p.grad).max() for name, p in params.items()}
+        assert {name: g for name, g in largest.items() if g <= 1e-12} == {}
+        for p in model.params.values():
+            p.grad = None
+
+
 def test_dropout_training_is_seeded_and_differs_from_eval():
     model, _ = _tiny_model(seed=17, dropout=0.3)
     ids = np.array([0, 6, 7, 1])
@@ -541,11 +562,13 @@ def test_dropout_training_is_seeded_and_differs_from_eval():
 
 
 def test_load_state_rejects_parameters_the_model_lacks():
+    other, _ = _tiny_model(seed=18)
     deeper, _ = _tiny_model(seed=18, n_layers=2)
     model, _ = _tiny_model(seed=19)
     before = model.state_arrays()
-    with pytest.raises(ValueError, match=r"lacks: \['enc1\.attn\.bk'"):
-        model.load_state(deeper.state_arrays())
+    with_key_bias = {**other.state_arrays(), "enc0.attn.bk": np.zeros(8)}  # attention once had a key bias
+    with pytest.raises(ValueError, match=r"lacks: \['enc0\.attn\.bk'\]"):
+        model.load_state(with_key_bias)
     with pytest.raises(ValueError, match="enc1.ffn.w1"):
         model.load_state(deeper.state_arrays(), transfer_only=True)
     for name, value in before.items():  # nothing was loaded

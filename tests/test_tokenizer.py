@@ -161,6 +161,11 @@ def test_empty_text_tokenizes_empty():
     assert split_tokens("", []) == []
 
 
+def _spans(doc):
+    """The character span of each token of ``tokenize_document(doc, ...)``."""
+    return [(s, e) for s, e, _ in split_tokens(doc.full_text, doc.mentions)]
+
+
 def test_mention_reassembly_oracle():
     """Concatenated span substrings of a mention's range reproduce its surface."""
     rng = np.random.default_rng(17)
@@ -170,7 +175,7 @@ def test_mention_reassembly_oracle():
         tok = tokenize_document(doc, vocab)
         for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
             assert hi > lo
-            pieces = [doc.full_text[s:e] for s, e in tok.spans[lo:hi]]
+            pieces = [doc.full_text[s:e] for s, e in _spans(doc)[lo:hi]]
             rebuilt = "".join(pieces)
             assert rebuilt.lower() == "".join(m.surface.split()).lower()
 
@@ -181,7 +186,7 @@ def test_spans_are_faithful_and_ordered():
     vocab = build_vocab([doc])
     tok = tokenize_document(doc, vocab)
     prev_end = 0
-    for (s, e), tid in zip(tok.spans, tok.token_ids):
+    for (s, e), tid in zip(_spans(doc), tok.token_ids, strict=True):
         assert s >= prev_end
         prev_end = e
         if tid != UNK_ID:
@@ -219,11 +224,12 @@ def test_token_spans_stay_faithful_to_the_text(doc):
     text = doc.full_text
     vocab = build_vocab([doc])
     tok = tokenize_document(doc, vocab)
+    spans = _spans(doc)
     words = [vocab.tokens[t] for t in tok.token_ids]  # every word is kept: no UNK
-    assert all(e0 <= s1 for (_, e0), (s1, _) in zip(tok.spans, tok.spans[1:]))
-    assert all(s < e for s, e in tok.spans)
-    assert words == [text[s:e].lower() for s, e in tok.spans]
-    assert "".join(text[s:e] for s, e in tok.spans) == "".join(text.split())
+    assert all(e0 <= s1 for (_, e0), (s1, _) in zip(spans, spans[1:]))
+    assert all(s < e for s, e in spans)
+    assert words == [text[s:e].lower() for s, e in spans]
+    assert "".join(text[s:e] for s, e in spans) == "".join(text.split())
     for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
         assert lo < hi
         assert "".join(words[lo:hi]) == "".join(m.surface.split()).lower()
@@ -249,7 +255,7 @@ def test_mention_alignment_matches_span_scan(kwargs):
     for i in range(60):
         doc = random_document(rng, str(i), **kwargs)
         tok = tokenize_document(doc, build_vocab([doc]))
-        assert list(tok.mention_token_ranges) == _scan_mention_ranges(tok.spans, doc.mentions)
+        assert list(tok.mention_token_ranges) == _scan_mention_ranges(_spans(doc), doc.mentions)
 
 
 @pytest.fixture
