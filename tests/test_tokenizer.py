@@ -173,9 +173,10 @@ def test_mention_reassembly_oracle():
         doc = random_document(rng, str(i))
         vocab = build_vocab([doc])
         tok = tokenize_document(doc, vocab)
+        spans = _spans(doc)
         for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
             assert hi > lo
-            pieces = [doc.full_text[s:e] for s, e in _spans(doc)[lo:hi]]
+            pieces = [doc.full_text[s:e] for s, e in spans[lo:hi]]
             rebuilt = "".join(pieces)
             assert rebuilt.lower() == "".join(m.surface.split()).lower()
 
