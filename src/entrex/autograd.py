@@ -177,18 +177,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out, (a, b), backward)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     out = a.data * s
 
@@ -255,23 +243,31 @@ def softmax(x: Tensor, scale: float) -> Tensor:
     return _make(s, (x,), backward)
 
 
-def layer_norm(x: Tensor) -> Tensor:
-    """Normalization over the last axis with eps 1e-5, without gain or bias.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Affine normalization over the last axis with eps 1e-5: xhat * gain + bias.
 
     The centred array serves the variance and becomes xhat: the operations
     of ``(x - x.mean()) * (1 / sqrt(x.var() + 1e-5))`` in numpy's order,
-    with one mean and one subtraction.
+    with one mean and one subtraction.  The gain and bias then apply as
+    ``xhat * gain + bias`` would, in one tape node.
     """
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + 1e-5)
     xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g - gm - xhat * (g * xhat).mean(axis=-1, keepdims=True)) * inv
-        _accumulate(x, gx)
+        if x.requires_grad:
+            gn = g * gain.data
+            gm = gn.mean(axis=-1, keepdims=True)
+            _accumulate(x, (gn - gm - xhat * (gn * xhat).mean(axis=-1, keepdims=True)) * inv)
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:  # last: bias.grad may become g itself, which the lines above read
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
 
-    return _make(xhat, (x,), backward)
+    return _make(out, (x, gain, bias), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

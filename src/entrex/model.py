@@ -184,7 +184,7 @@ class RelationModel:
 
     @staticmethod
     def _layer_norm(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
-        return ag.add(ag.mul(ag.layer_norm(x), p[f"{prefix}.g"]), p[f"{prefix}.b"])
+        return ag.layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
     def _merge_heads(self, ctx: Tensor, p: dict[str, Tensor], i: int) -> Tensor:
         """The output projection of the per-head contexts ``ctx`` [h, m, dh]: [m, d]."""

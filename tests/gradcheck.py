@@ -12,11 +12,16 @@ from entrex import autograd as ag
 from entrex.autograd import Tensor
 
 
-def mean_all(x: Tensor) -> Tensor:
-    """The mean of every element of ``x``, a scalar built from reshape and matmul."""
+def project(x: Tensor, r: np.ndarray) -> Tensor:
+    """The mean of ``x * r`` for a constant array ``r`` of x's shape, a scalar built from reshape and matmul."""
     n = x.data.size
-    column = Tensor(np.full((n, 1), 1.0 / n, dtype=x.data.dtype))
+    column = Tensor((r / n).reshape(n, 1).astype(x.data.dtype))
     return ag.reshape(ag.matmul(ag.reshape(x, (1, n)), column), ())
+
+
+def mean_all(x: Tensor) -> Tensor:
+    """The mean of every element of ``x``."""
+    return project(x, np.ones(x.data.shape))
 
 
 def tape_nodes(loss: Tensor) -> list[Tensor]:

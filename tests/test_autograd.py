@@ -10,7 +10,7 @@ import pytest
 from entrex import autograd as ag
 from entrex.autograd import Tensor, parameter
 from entrex.optim import AdamState, adam_step
-from gradcheck import check_gradients, finite_difference_grad, max_rel_error, mean_all, tape_nodes
+from gradcheck import check_gradients, finite_difference_grad, max_rel_error, mean_all, project, tape_nodes
 
 
 def _rng(seed=0):
@@ -23,8 +23,7 @@ def _rand(rng, *shape):
 
 def _project(out: Tensor, rng) -> Tensor:
     """Reduce op output to a scalar through a fixed random projection."""
-    r = Tensor(rng.standard_normal(out.data.shape))
-    return mean_all(ag.mul(out, r))
+    return project(out, rng.standard_normal(out.data.shape))
 
 
 class TestForwardValues:
@@ -75,7 +74,8 @@ class TestForwardValues:
 
     def test_layer_norm_of_constant_vector_is_zero(self):
         x = Tensor(np.full(6, 3.25))
-        np.testing.assert_allclose(ag.layer_norm(x).data, 0.0, atol=1e-12)
+        out = ag.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
+        np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_cross_entropy_uniform_is_log_k(self):
         for k in (2, 5, 11):
@@ -151,11 +151,6 @@ class TestGradients:
         a, b = _rand(rng, 3, 4), _rand(rng, 4)
         check_gradients(lambda: _project(ag.add(a, b), _rng(99)), {"a": a, "b": b})
 
-    def test_mul_broadcast(self):
-        rng = _rng(11)
-        a, b = _rand(rng, 2, 5), _rand(rng, 2, 1)
-        check_gradients(lambda: _project(ag.mul(a, b), _rng(99)), {"a": a, "b": b})
-
     def test_scale(self):
         rng = _rng(12)
         a = _rand(rng, 4, 3)
@@ -194,9 +189,21 @@ class TestGradients:
                 check_gradients(lambda: _project(ag.softmax(x, scale), _rng(99)), {"x": x})
 
     def test_layer_norm(self):
+        """x, gain and bias, with the gain and bias over the last axis of a 1-D, 2-D or 3-D x."""
         rng = _rng(18)
-        x = _rand(rng, 3, 6)
-        check_gradients(lambda: _project(ag.layer_norm(x), _rng(99)), {"x": x})
+        for shape in ((6,), (3, 6), (2, 3, 6)):
+            x, gain, bias = _rand(rng, *shape), _rand(rng, 6), _rand(rng, 6)
+            check_gradients(
+                lambda: _project(ag.layer_norm(x, gain, bias), _rng(99)), {"x": x, "gain": gain, "bias": bias}
+            )
+
+    def test_layer_norm_bias_shares_a_leaf(self):
+        """On one row the bias gradient can be the incoming gradient itself, so it
+        is written last: the gradients of x and the gain still read it unchanged."""
+        rng = _rng(19)
+        x, w = _rand(rng, 6), _rand(rng, 6)
+        check_gradients(lambda: _project(ag.layer_norm(x, w, w), _rng(99)), {"x": x, "w": w})
+        check_gradients(lambda: _project(ag.layer_norm(w, x, w), _rng(99)), {"x": x, "w": w})
 
     def test_gelu(self):
         rng = _rng(20)
@@ -245,10 +252,10 @@ class TestGradients:
 
 class TestTapeMechanics:
     def test_gradients_accumulate_across_backwards(self):
-        x = parameter(np.array([2.0]))
-        mean_all(ag.mul(x, x)).backward()
+        x = parameter(np.array([[2.0]]))
+        mean_all(ag.matmul(x, x)).backward()
         g1 = x.grad.copy()
-        mean_all(ag.mul(x, x)).backward()
+        mean_all(ag.matmul(x, x)).backward()
         np.testing.assert_allclose(x.grad, 2 * g1)
 
     def test_shared_parent_grad_not_aliased(self):
@@ -259,10 +266,10 @@ class TestTapeMechanics:
         assert b.grad[0] != 42.0
 
     def test_diamond_graph_accumulates_both_paths(self):
-        x = parameter(np.array([3.0]))
-        y = ag.add(ag.mul(x, x), ag.scale(x, 2.0))  # x^2 + 2x
+        x = parameter(np.array([[3.0]]))
+        y = ag.add(ag.matmul(x, x), ag.scale(x, 2.0))  # x^2 + 2x
         mean_all(y).backward()
-        np.testing.assert_allclose(x.grad, [8.0])
+        np.testing.assert_allclose(x.grad, [[8.0]])
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
@@ -270,8 +277,8 @@ class TestTapeMechanics:
 
     def test_backward_requires_a_tape(self):
         """A loss computed from constants only has no tape to walk."""
-        x = Tensor(np.array([1.0, 2.0]))
-        loss = mean_all(ag.mul(x, x))
+        x = Tensor(np.array([[2.0]]))
+        loss = mean_all(ag.matmul(x, x))
         assert not loss.requires_grad and loss._parents == ()
         with pytest.raises(ValueError, match="computed from constants"):
             loss.backward()
@@ -326,8 +333,8 @@ class TestTapeMechanics:
         assert peak <= x.data.nbytes + 64 * 1024, (peak, x.data.nbytes)
 
     def test_second_backward_raises(self):
-        x = parameter(np.array([1.0, 2.0]))
-        loss = mean_all(ag.mul(x, x))
+        x = parameter(np.array([[2.0]]))
+        loss = mean_all(ag.matmul(x, x))
         loss.backward()
         grad = x.grad.copy()
         with pytest.raises(ValueError, match="already ran through this tape"):
@@ -336,13 +343,13 @@ class TestTapeMechanics:
 
     def test_new_op_on_a_consumed_intermediate_raises(self):
         """A consumed node still requires grad, so it is never taken for a constant."""
-        x, w = parameter(np.array([1.0, 2.0])), parameter(np.array([3.0, -1.0]))
+        x, w = parameter(np.array([[2.0]])), parameter(np.array([[3.0]]))
         y = ag.scale(x, 2.0)
         mean_all(y).backward()
         grad = x.grad.copy()
         assert y.requires_grad
         with pytest.raises(ValueError, match="already ran through this tape"):
-            mean_all(ag.mul(y, w)).backward()
+            mean_all(ag.matmul(y, w)).backward()
         assert np.array_equal(x.grad, grad) and w.grad is None
 
     def test_constants_get_no_grad(self):
@@ -350,7 +357,7 @@ class TestTapeMechanics:
         x = _rand(rng, 2, 3)
         consts = [Tensor(rng.standard_normal(s)) for s in ((2, 3), (3,), (3, 4), (1, 3))]
         y = ag.matmul(ag.add(ag.add(x, consts[0]), consts[1]), consts[2])
-        z = ag.mul(x, consts[3])
+        z = ag.layer_norm(x, consts[3], consts[1])
         ag.add(mean_all(y), mean_all(z)).backward()
         assert x.grad is not None
         assert all(c.grad is None for c in consts)

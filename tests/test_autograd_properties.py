@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from entrex import autograd as ag
 from entrex.autograd import Tensor, parameter
 from entrex.optim import _BETA1, _BETA2, _EPS, AdamState, adam_step
-from gradcheck import check_gradients, mean_all, tape_nodes
+from gradcheck import check_gradients, project, tape_nodes
 
 
 def _gelu_reference(x):
@@ -59,12 +59,16 @@ def _unfused_softmax(x, c, g):
     return s, s * (g - (g * s).sum(axis=-1, keepdims=True)) * c
 
 
-def _unfused_layer_norm(x, g):
+def _unfused_layer_norm(x, gain, bias, g):
+    """xhat * gain + bias as three ops computed it: the output, and the gradients of x,
+    gain and bias from g, the last two summed over the leading axes as an add would."""
     mean = x.mean(axis=-1, keepdims=True)
     inv = 1 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
     xhat = (x - mean) * inv
-    gx = (g - g.mean(axis=-1, keepdims=True) - xhat * (g * xhat).mean(axis=-1, keepdims=True)) * inv
-    return xhat, gx
+    gn = g * gain
+    gx = (gn - gn.mean(axis=-1, keepdims=True) - xhat * (gn * xhat).mean(axis=-1, keepdims=True)) * inv
+    lead = tuple(range(x.ndim - 1))
+    return xhat * gain + bias, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
 def _unfused_gelu(x, g):
@@ -75,10 +79,11 @@ def _unfused_gelu(x, g):
     return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
 
 
+# name: (operand count, op on tensors, formula on arrays returning the output and each operand's gradient)
 _KERNELS = {
-    "softmax": (lambda x, c: ag.softmax(x, c), _unfused_softmax),
-    "layer_norm": (lambda x, c: ag.layer_norm(x), lambda x, c, g: _unfused_layer_norm(x, g)),
-    "gelu": (lambda x, c: ag.gelu(x), lambda x, c, g: _unfused_gelu(x, g)),
+    "softmax": (1, lambda c, x: ag.softmax(x, c), lambda c, g, x: _unfused_softmax(x, c, g)),
+    "layer_norm": (3, lambda c, *xs: ag.layer_norm(*xs), lambda c, g, *xs: _unfused_layer_norm(*xs, g)),
+    "gelu": (1, lambda c, x: ag.gelu(x), lambda c, g, x: _unfused_gelu(x, g)),
 }
 
 
@@ -88,25 +93,27 @@ def _kernel_inputs(draw):
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=9))
     width = np.dtype(dtype).itemsize * 8
     x = draw(hnp.arrays(dtype, shape, elements=st.floats(-50, 50, width=width)))
+    gain, bias = (draw(hnp.arrays(dtype, shape[-1:], elements=st.floats(-4, 4, width=width))) for _ in "gb")
     g = draw(hnp.arrays(dtype, shape, elements=st.floats(-10, 10, width=width)))
     scale = draw(st.floats(0.01, 4.0))  # a Python float, as the model passes it
-    return x, g, scale
+    return (x, gain, bias), g, scale
 
 
 @settings(max_examples=150, deadline=None)
 @given(kernel=st.sampled_from(sorted(_KERNELS)), inputs=_kernel_inputs())
 def test_kernels_bit_identical_to_the_unfused_formulas(kernel, inputs):
-    """softmax(x, c), layer_norm and gelu write fewer arrays than the
-    formulas they replace, in the same operations and order: the same bits
-    forward and backward, in float32 and float64."""
-    x, g, scale = inputs
-    op, reference = _KERNELS[kernel]
-    out_ref, grad_ref = reference(x, scale, g)
-    t = parameter(x.copy())
-    out = op(t, scale)
+    """softmax(x, c), layer_norm(x, gain, bias) and gelu write fewer arrays
+    than the formulas they replace, in the same operations and order: the
+    same bits forward and backward, in float32 and float64."""
+    arrays, g, scale = inputs
+    n, op, reference = _KERNELS[kernel]
+    out_ref, *grads_ref = reference(scale, g, *arrays[:n])
+    tensors = [parameter(a.copy()) for a in arrays[:n]]
+    out = op(scale, *tensors)
     out._backward_fn(g.copy())
     np.testing.assert_array_equal(out.data, out_ref, strict=True)
-    np.testing.assert_array_equal(t.grad, grad_ref, strict=True)
+    for t, grad_ref in zip(tensors, grads_ref, strict=True):
+        np.testing.assert_array_equal(t.grad, grad_ref, strict=True)
 
 
 def _textbook_adam(p, grads, lr):
@@ -153,21 +160,25 @@ def test_adam_step_bit_identical_to_textbook(run):
         assert (state.second_moment[name] == v).all()
 
 
-_GRAPH_OPS = ("add", "mul", "reshape", "transpose", "slice_rows", "embedding_lookup")
+_GRAPH_OPS = ("add", "layer_norm", "reshape", "transpose", "slice_rows", "embedding_lookup")
 
 
 @st.composite
 def _shared_leaf_graphs(draw):
     """Float64 leaves of one shape or of one row of it (sides <= 4), and ops over them.
 
-    Each op reads a leaf or an earlier result.  An ``add`` or ``mul`` takes a second operand of the same shape (the
-    first one itself included, as in ``x + x``) or of one row, which
-    broadcasts; either side may come first.
+    Each op reads a leaf or an earlier result.  An ``add`` takes a second
+    operand of the same shape (the first one itself included, as in
+    ``x + x``) or of one row, which broadcasts; either side may come first.
+    A ``layer_norm`` draws its gain and its bias the same way, but
+    normalises a leaf: at a row of equal values a LayerNorm turns the step
+    h into about h / sqrt(1e-5), the width of its own linear region, so
+    finite differences cannot follow one LayerNorm into another.
     """
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     # Magnitudes in [0.5, 1.5]: near zero, a product of leaves has a
     # gradient below the finite difference's error (h^2 times its third
-    # derivative), and ten squarings of a larger value overflow.
+    # derivative).
     elements = st.floats(0.5, 1.5) | st.floats(-1.5, -0.5)
     leaves = [
         draw(hnp.arrays(np.float64, (draw(st.sampled_from((rows, 1))), cols), elements=elements))
@@ -176,12 +187,14 @@ def _shared_leaf_graphs(draw):
     shapes = [a.shape for a in leaves]
     steps = []
     for _ in range(draw(st.integers(1, 10))):
-        i = draw(st.integers(0, len(shapes) - 1))
-        r, c = shapes[i]
         op = draw(st.sampled_from(_GRAPH_OPS))
-        if op in ("add", "mul"):
-            j = draw(st.sampled_from([j for j, s in enumerate(shapes) if s in ((r, c), (1, c))]))
-            arg, shape = (j, draw(st.booleans())), (r, c)
+        i = draw(st.integers(0, (len(leaves) if op == "layer_norm" else len(shapes)) - 1))
+        r, c = shapes[i]
+        operands = [j for j, s in enumerate(shapes) if s in ((r, c), (1, c))]
+        if op == "add":
+            arg, shape = (draw(st.sampled_from(operands)), draw(st.booleans())), (r, c)
+        elif op == "layer_norm":
+            arg, shape = (draw(st.sampled_from(operands)), draw(st.sampled_from(operands))), (r, c)
         elif op in ("reshape", "transpose"):
             arg, shape = None, (c, r)
         elif op == "slice_rows":
@@ -202,11 +215,13 @@ def _graph_loss(leaves, steps):
     for op, i, arg in steps:
         x = nodes[i]
         read.add(i)
-        if op in ("add", "mul"):
+        if op == "add":
             j, swap = arg
             read.add(j)
-            a, b = (nodes[j], x) if swap else (x, nodes[j])
-            nodes.append(getattr(ag, op)(a, b))
+            nodes.append(ag.add(nodes[j], x) if swap else ag.add(x, nodes[j]))
+        elif op == "layer_norm":
+            read.update(arg)
+            nodes.append(ag.layer_norm(x, *(nodes[j] for j in arg)))
         elif op == "reshape":
             nodes.append(ag.reshape(x, x.data.shape[::-1]))
         elif op == "transpose":
@@ -216,11 +231,7 @@ def _graph_loss(leaves, steps):
         else:
             nodes.append(ag.embedding_lookup(x, np.array(arg)))
     rng = np.random.default_rng(0)
-    terms = [
-        mean_all(ag.mul(n, Tensor(rng.standard_normal(n.data.shape))))
-        for k, n in enumerate(nodes)
-        if k not in read
-    ]
+    terms = [project(n, rng.standard_normal(n.data.shape)) for k, n in enumerate(nodes) if k not in read]
     loss = terms[0]
     for term in terms[1:]:
         loss = ag.add(loss, term)
