@@ -93,7 +93,7 @@ def _kernel_inputs(draw):
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=9))
     width = np.dtype(dtype).itemsize * 8
     x = draw(hnp.arrays(dtype, shape, elements=st.floats(-50, 50, width=width)))
-    gain, bias = (draw(hnp.arrays(dtype, shape[-1:], elements=st.floats(-4, 4, width=width))) for _ in "gb")
+    gain, bias = (draw(hnp.arrays(dtype, shape[-1:], elements=st.floats(-4, 4, width=width))) for _ in range(2))
     g = draw(hnp.arrays(dtype, shape, elements=st.floats(-10, 10, width=width)))
     scale = draw(st.floats(0.01, 4.0))  # a Python float, as the model passes it
     return (x, gain, bias), g, scale
