@@ -155,6 +155,8 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
@@ -197,7 +199,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+            at = a.data.swapaxes(-1, -2)
+            # One row in a: each element of at @ g is one product, so the broadcast product has its bits.
+            _accumulate(b, _unbroadcast(at * g if a.data.shape[-2] == 1 else at @ g, b.data.shape))
 
     return _make(out, (a, b), backward)
 
@@ -248,11 +252,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     The centred array serves the variance and becomes xhat: the operations
     of ``(x - x.mean()) * (1 / sqrt(x.var() + 1e-5))`` in numpy's order,
-    with one mean and one subtraction.  The gain and bias then apply as
-    ``xhat * gain + bias`` would, in one tape node.
+    with one mean and one subtraction.  Each mean is numpy's sum and
+    division by the row length, without ``np.mean``'s Python wrapper.  The
+    gain and bias then apply as ``xhat * gain + bias`` would, in one tape
+    node.
     """
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = x.data - _row_mean(x.data)
+    inv = 1.0 / np.sqrt(_row_mean(np.square(xhat)) + 1e-5)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
@@ -260,14 +266,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             gn = g * gain.data
-            gm = gn.mean(axis=-1, keepdims=True)
-            _accumulate(x, (gn - gm - xhat * (gn * xhat).mean(axis=-1, keepdims=True)) * inv)
+            gm = _row_mean(gn)
+            _accumulate(x, (gn - gm - xhat * _row_mean(gn * xhat)) * inv)
         if gain.requires_grad:
             _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
         if bias.requires_grad:  # last: bias.grad may become g itself, which the lines above read
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
 
     return _make(out, (x, gain, bias), backward)
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)``, bit for bit: the same sum, divided by the row length."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -9,7 +9,7 @@ import pytest
 
 from entrex import autograd as ag
 from entrex.autograd import Tensor, parameter
-from entrex.optim import AdamState, adam_step
+from entrex.optim import _BETA1, _BETA2, _EPS, AdamState, adam_step
 from gradcheck import check_gradients, finite_difference_grad, max_rel_error, mean_all, project, tape_nodes
 
 
@@ -169,6 +169,13 @@ class TestGradients:
     def test_matmul_batched_times_2d(self):
         rng = _rng(15)
         a, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 5)
+        check_gradients(lambda: _project(ag.matmul(a, b), _rng(99)), {"a": a, "b": b})
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((1, 4), (4, 5)), ((2, 1, 4), (4, 5)), ((1, 4), (2, 4, 5))])
+    def test_matmul_one_row(self, a_shape, b_shape):
+        """One row in a, against a 2-D b, a b broadcast over a's batch, and a 3-D b that a is broadcast to."""
+        rng = _rng(19)
+        a, b = _rand(rng, *a_shape), _rand(rng, *b_shape)
         check_gradients(lambda: _project(ag.matmul(a, b), _rng(99)), {"a": a, "b": b})
 
     def test_embedding_lookup(self):
@@ -454,6 +461,112 @@ class TestAdam:
             adam_step({"w": p}, state)
             trace.append(float(p.data[0]))
         np.testing.assert_allclose(trace, trace_ref, atol=1e-10)
+
+
+class TestAdamSegments:
+    """Every vector shares one buffer and one update; each matrix is a segment of its own."""
+
+    @staticmethod
+    def _params(rng, dtype=np.float64):
+        shapes = {"a": (3,), "w": (2, 3), "b": (5,), "s": ()}
+        return {name: parameter(rng.standard_normal(shape).astype(dtype)) for name, shape in shapes.items()}
+
+    @staticmethod
+    def _fill_grads(params, rng):
+        grads = {name: rng.standard_normal(p.data.shape).astype(p.data.dtype) for name, p in params.items()}
+        for name, p in params.items():
+            p.grad = grads[name].copy()
+        return grads
+
+    def test_vectors_share_one_buffer_and_moments_are_views_of_their_slots(self):
+        rng = _rng(40)
+        params = self._params(rng)
+        state = AdamState(lr=0.1)
+        grads = self._fill_grads(params, rng)
+        adam_step(params, state)
+        buffer = params["a"].data.base
+        assert buffer is not None and not np.shares_memory(params["w"].data, buffer)
+        for name in ("a", "b", "s"):
+            m, v = state.first_moment[name], state.second_moment[name]
+            assert params[name].data.base is buffer and np.shares_memory(params[name].data, buffer)
+            assert m.base is state.first_moment["a"].base is not None
+            assert v.base is state.second_moment["a"].base is not None
+            # From zero moments, the first step leaves (1 - beta1) g and (1 - beta2) g g in each name's slot.
+            np.testing.assert_array_equal(m, grads[name] * (1.0 - _BETA1), strict=True)
+            np.testing.assert_array_equal(v, grads[name] * (1.0 - _BETA2) * grads[name], strict=True)
+
+    def test_replaced_data_is_copied_in_and_stepped_with_the_old_moments(self):
+        rng = _rng(41)
+        params = self._params(rng)
+        state = AdamState(lr=0.1)
+        self._fill_grads(params, rng)
+        adam_step(params, state)
+        moments = {name: (state.first_moment[name].copy(), state.second_moment[name].copy()) for name in params}
+        loaded = {name: rng.standard_normal(params[name].data.shape) for name in ("a", "w")}
+        replaced = {name: x.copy() for name, x in loaded.items()}
+        for name, x in replaced.items():
+            params[name].data = x
+        before = {name: p.data.copy() for name, p in params.items()}
+        grads = self._fill_grads(params, rng)
+        adam_step(params, state)
+        c1, c2 = 1.0 - _BETA1**2, 1.0 - _BETA2**2
+        for name, p in params.items():
+            m0, v0 = moments[name]
+            g = grads[name]
+            m = _BETA1 * m0 + (1.0 - _BETA1) * g
+            v = _BETA2 * v0 + (1.0 - _BETA2) * g * g
+            expected = before[name] - 0.1 * (m / c1) / (np.sqrt(v / c2) + _EPS)
+            np.testing.assert_array_equal(p.data, expected, strict=True)
+            np.testing.assert_array_equal(state.first_moment[name], m, strict=True)
+            np.testing.assert_array_equal(state.second_moment[name], v, strict=True)
+        assert params["a"].data.base is params["b"].data.base is not None
+        for name, x in replaced.items():
+            assert params[name].data is not x
+            np.testing.assert_array_equal(x, loaded[name], strict=True)
+
+    @pytest.mark.parametrize(
+        "change, names",
+        [
+            (lambda params: params.pop("w"), ["w"]),
+            (lambda params: params.update(x=parameter(np.zeros(2))), ["x"]),
+            (lambda params: setattr(params["b"], "data", params["b"].data.astype(np.float32)), ["b"]),
+            (lambda params: setattr(params["w"], "data", np.zeros((3, 2))), ["w"]),
+        ],
+        ids=["absent name", "new name", "vector of another dtype", "matrix of another shape"],
+    )
+    def test_another_view_is_rejected_by_name_before_any_change(self, change, names):
+        rng = _rng(42)
+        params = self._params(rng)
+        state = AdamState(lr=0.1)
+        self._fill_grads(params, rng)
+        adam_step(params, state)
+        change(params)
+        self._fill_grads(params, rng)
+        data = {name: p.data.copy() for name, p in params.items()}
+        moments = {name: (m.copy(), state.second_moment[name].copy()) for name, m in state.first_moment.items()}
+        with pytest.raises(ValueError) as error:
+            adam_step(params, state)
+        for name in names:
+            assert repr(name) in str(error.value)
+        assert state.step_count == 1
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, data[name], strict=True)
+            assert p.grad is not None
+        for name, (m, v) in moments.items():
+            np.testing.assert_array_equal(state.first_moment[name], m, strict=True)
+            np.testing.assert_array_equal(state.second_moment[name], v, strict=True)
+
+    def test_vectors_of_two_dtypes_are_rejected_by_name_before_any_change(self):
+        rng = _rng(43)
+        params = self._params(rng)
+        params["b"].data = params["b"].data.astype(np.float32)
+        self._fill_grads(params, rng)
+        data = {name: p.data for name, p in params.items()}
+        state = AdamState(lr=0.1)
+        with pytest.raises(ValueError, match=r"'float64': \['a', 's'\], 'float32': \['b'\]"):
+            adam_step(params, state)
+        assert state.step_count == 0 and not state.first_moment and not state.second_moment
+        assert all(p.data is data[name] and p.grad is not None for name, p in params.items())
 
 
 def test_finite_difference_helper_self_check():
