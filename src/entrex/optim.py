@@ -1,12 +1,11 @@
 """Adam optimizer over named parameter tensors.
 
-An ``AdamState`` serves one view: the names of the first mapping it
-steps, whose vector parameters share one dtype.  It updates by segments:
-every parameter of at most one dimension lives in one flat buffer the
-state owns, so the vectors take one pass of the update between them, and
-each matrix is a segment of its own.  From the state's first step on, a
-vector's ``.data`` is a view into that buffer, and every step writes into
-it, so copy ``p.data`` before keeping it.
+An ``AdamState`` serves one view of one dtype: the names it was first
+stepped with.  It updates by segments: the parameters of at most one
+dimension share one flat buffer the state owns and one pass of the
+update, and each matrix is a segment of its own.  A vector's ``.data`` is
+a view into that buffer, which every step writes, so copy it before
+keeping it.
 """
 
 from __future__ import annotations
@@ -34,10 +33,10 @@ class AdamState:
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
     # The array each parameter's .data must be; a matrix's is None until its first update.
-    _slots: dict[str, np.ndarray | None] = field(default_factory=dict, repr=False)
+    _slots: dict[str, np.ndarray | None] = field(default_factory=dict, init=False, repr=False)
     # The vectors' segment: parameter, moment and gathered-gradient buffers, then the names in their order.
-    _vectors: tuple = field(default=(), repr=False)
-    _matrices: list[str] = field(default_factory=list, repr=False)
+    _vectors: tuple = field(default=(), init=False, repr=False)
+    _matrices: list[str] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -49,14 +48,13 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
 
     Every parameter must carry a gradient, and ``params`` must be the view
     ``state`` was first stepped with: the same names, every vector of one
-    dtype, and any replaced array of its slot's shape and dtype; a call
-    that is not raises before anything changes.  On its first update a
-    parameter is copied into a buffer the state owns and ``.data`` is
-    pointed there; a vector's ``.data`` becomes a view into the one buffer
-    all vectors share.  Every later step writes into those buffers in
-    place, so copy ``p.data`` before keeping it.  A parameter whose
-    ``.data`` was replaced between steps is copied into its slot and
-    pointed there again.
+    dtype, and any replaced array of its slot's shape and dtype; any other
+    call raises before anything changes.  On its first update a parameter
+    is copied into a buffer the state owns and ``.data`` points there, a
+    vector's into the one buffer all vectors share; every later step
+    writes into those buffers, so copy ``p.data`` before keeping it.  A
+    ``.data`` replaced between steps is copied into its slot and pointed
+    there again.
     """
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
@@ -102,11 +100,8 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
 def _bind(params: Mapping[str, Tensor], state: AdamState) -> None:
     """Give ``state`` the names of ``params`` and the vectors' segment; raises first if the vectors' dtypes differ."""
     vectors = [name for name, p in params.items() if p.data.ndim <= 1]
-    dtypes: dict[str, list[str]] = {}
-    for name in vectors:
-        dtypes.setdefault(str(params[name].data.dtype), []).append(name)
-    if len(dtypes) > 1:
-        raise ValueError(f"vector parameters of more than one dtype: {dtypes}")
+    if len({params[name].data.dtype for name in vectors}) > 1:
+        raise ValueError(f"vector parameters of more than one dtype: { {n: str(params[n].data.dtype) for n in vectors} }")
     state._slots = dict.fromkeys(params)
     state._matrices = [name for name in params if name not in vectors]
     if not vectors:
