@@ -467,9 +467,9 @@ class TestAdamSegments:
     """Every vector shares one buffer and one update; each matrix is a segment of its own."""
 
     @staticmethod
-    def _params(rng, dtype=np.float64):
+    def _params(rng):
         shapes = {"a": (3,), "w": (2, 3), "b": (5,), "s": ()}
-        return {name: parameter(rng.standard_normal(shape).astype(dtype)) for name, shape in shapes.items()}
+        return {name: parameter(rng.standard_normal(shape)) for name, shape in shapes.items()}
 
     @staticmethod
     def _fill_grads(params, rng):
