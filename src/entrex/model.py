@@ -154,25 +154,26 @@ class RelationModel:
         return {k: v.data.copy() for k, v in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray], transfer_only: bool = False) -> None:
-        """Overwrite parameters from arrays; names and shapes must match.
+        """Copy arrays into the parameters' own arrays, cast to their dtype; names and shapes must match.
 
-        With ``transfer_only`` the head parameters are skipped: encoder
-        and embedding weights transfer while heads keep their fresh init.
+        Every name and shape is checked before anything is written, so a
+        refused load writes nothing.  With ``transfer_only`` the head
+        parameters are skipped: encoder and embedding weights transfer
+        while heads keep their fresh init.
         """
         unknown = sorted(set(arrays) - self.params.keys())
         if unknown:
             raise ValueError(f"checkpoint has parameters the model lacks: {unknown}")
-        for name, p in self.params.items():
-            if transfer_only and name.startswith("head."):
-                continue
+        loaded = {name: p for name, p in self.params.items() if not (transfer_only and name.startswith("head."))}
+        for name, p in loaded.items():
             if name not in arrays:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")
-            arr = arrays[name]
-            if arr.shape != p.data.shape:
+            if arrays[name].shape != p.data.shape:
                 raise ValueError(
-                    f"parameter {name!r} shape {arr.shape} != expected {p.data.shape}"
+                    f"parameter {name!r} shape {arrays[name].shape} != expected {p.data.shape}"
                 )
-            p.data = arr.astype(self.cfg.dtype, copy=True)
+        for name, p in loaded.items():
+            p.data[...] = arrays[name]
 
     # --- forward ----------------------------------------------------------
 

@@ -5,7 +5,8 @@ stepped with.  It updates by segments: the parameters of at most one
 dimension share one flat buffer the state owns and one pass of the
 update, and each matrix is a segment of its own.  A vector's ``.data`` is
 a view into that buffer, which every step writes, so copy it before
-keeping it.
+keeping it.  New values go in place, as ``RelationModel.load_state``
+writes them; a replaced ``.data`` raises.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominato
 class AdamState:
     """The learning rate, Adam's one hyperparameter (required, finite, positive), plus the moment buffers.
 
-    ``first_moment`` and ``second_moment`` are keyed by parameter name; a
-    vector's moments are views into its segment's buffers.
+    Only ``lr`` is set by the caller.  ``first_moment`` and
+    ``second_moment`` are keyed by parameter name; a vector's moments are
+    views into its segment's buffers.
     """
 
     lr: float
-    step_count: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    first_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    second_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
     # The array each parameter's .data must be; a matrix's is None until its first update.
     _slots: dict[str, np.ndarray | None] = field(default_factory=dict, init=False, repr=False)
     # The vectors' segment: parameter, moment and gathered-gradient buffers, then the names in their order.
@@ -48,13 +50,12 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
 
     Every parameter must carry a gradient, and ``params`` must be the view
     ``state`` was first stepped with: the same names, every vector of one
-    dtype, and any replaced array of its slot's shape and dtype; any other
+    dtype, and each ``.data`` the array the state placed there; any other
     call raises before anything changes.  On its first update a parameter
     is copied into a buffer the state owns and ``.data`` points there, a
     vector's into the one buffer all vectors share; every later step
-    writes into those buffers, so copy ``p.data`` before keeping it.  A
-    ``.data`` replaced between steps is copied into its slot and pointed
-    there again.
+    writes into those buffers, so copy ``p.data`` before keeping it.  New
+    values between steps go in place, as ``load_state`` writes them.
     """
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
@@ -66,16 +67,9 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
             f"names differ from the view this AdamState serves: new {sorted(params.keys() - state._slots.keys())}, "
             f"absent {sorted(state._slots.keys() - params.keys())}"
         )
-    stale = [name for name, slot in state._slots.items() if slot is not None and params[name].data is not slot]
-    unfit = [
-        name for name in stale
-        if (params[name].data.shape, params[name].data.dtype) != (state._slots[name].shape, state._slots[name].dtype)
-    ]
-    if unfit:
-        raise ValueError(f"parameters replaced by arrays of another shape or dtype than their slots: {unfit}")
-    for name in stale:
-        state._slots[name][...] = params[name].data
-        params[name].data = state._slots[name]
+    replaced = [name for name, slot in state._slots.items() if slot is not None and params[name].data is not slot]
+    if replaced:
+        raise ValueError(f"parameters whose .data is not the array this AdamState placed: {replaced}")
     state.step_count += 1
     t = state.step_count
     correction1 = 1.0 - _BETA1**t

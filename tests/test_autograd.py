@@ -433,6 +433,11 @@ class TestAdam:
         np.testing.assert_array_equal(w, [1.0, -2.0])
         assert p.data is buffer and (buffer < w).all()
 
+    @pytest.mark.parametrize("field", [{"step_count": 3}, {"first_moment": {}}], ids=["step_count", "first_moment"])
+    def test_only_the_learning_rate_is_set_by_the_caller(self, field):
+        with pytest.raises(TypeError):
+            AdamState(lr=0.1, **field)
+
     @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
     def test_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="learning rate must be finite and positive"):
@@ -495,18 +500,20 @@ class TestAdamSegments:
             np.testing.assert_array_equal(m, grads[name] * (1.0 - _BETA1), strict=True)
             np.testing.assert_array_equal(v, grads[name] * (1.0 - _BETA2) * grads[name], strict=True)
 
-    def test_replaced_data_is_copied_in_and_stepped_with_the_old_moments(self):
+    def test_values_written_in_place_are_stepped_with_the_old_moments(self):
         rng = _rng(41)
         params = self._params(rng)
         state = AdamState(lr=0.1)
         self._fill_grads(params, rng)
         adam_step(params, state)
         moments = {name: (state.first_moment[name].copy(), state.second_moment[name].copy()) for name in params}
+        slots = {name: p.data for name, p in params.items()}
         loaded = {name: rng.standard_normal(params[name].data.shape) for name in ("a", "w")}
-        replaced = {name: x.copy() for name, x in loaded.items()}
-        for name, x in replaced.items():
-            params[name].data = x
+        for name, x in loaded.items():
+            params[name].data[...] = x
         before = {name: p.data.copy() for name, p in params.items()}
+        for name, x in loaded.items():
+            np.testing.assert_array_equal(before[name], x, strict=True)
         grads = self._fill_grads(params, rng)
         adam_step(params, state)
         c1, c2 = 1.0 - _BETA1**2, 1.0 - _BETA2**2
@@ -519,10 +526,7 @@ class TestAdamSegments:
             np.testing.assert_array_equal(p.data, expected, strict=True)
             np.testing.assert_array_equal(state.first_moment[name], m, strict=True)
             np.testing.assert_array_equal(state.second_moment[name], v, strict=True)
-        assert params["a"].data.base is params["b"].data.base is not None
-        for name, x in replaced.items():
-            assert params[name].data is not x
-            np.testing.assert_array_equal(x, loaded[name], strict=True)
+        assert all(p.data is slots[name] for name, p in params.items())
 
     @pytest.mark.parametrize(
         "change, names",
@@ -531,8 +535,13 @@ class TestAdamSegments:
             (lambda params: params.update(x=parameter(np.zeros(2))), ["x"]),
             (lambda params: setattr(params["b"], "data", params["b"].data.astype(np.float32)), ["b"]),
             (lambda params: setattr(params["w"], "data", np.zeros((3, 2))), ["w"]),
+            (lambda params: setattr(params["a"], "data", params["a"].data.copy()), ["a"]),
+            (lambda params: setattr(params["w"], "data", params["w"].data.copy()), ["w"]),
         ],
-        ids=["absent name", "new name", "vector of another dtype", "matrix of another shape"],
+        ids=[
+            "absent name", "new name", "vector of another dtype", "matrix of another shape",
+            "replaced vector", "replaced matrix of the same shape",
+        ],
     )
     def test_another_view_is_rejected_by_name_before_any_change(self, change, names):
         rng = _rng(42)

@@ -562,17 +562,25 @@ def test_dropout_training_is_seeded_and_differs_from_eval():
 
 
 def test_load_state_rejects_parameters_the_model_lacks():
+    """Unknown, missing and misshapen parameters are refused before any parameter is written."""
     other, _ = _tiny_model(seed=18)
     deeper, _ = _tiny_model(seed=18, n_layers=2)
     model, _ = _tiny_model(seed=19)
-    before = model.state_arrays()
+    deep_model, _ = _tiny_model(seed=19, n_layers=2)
     with_key_bias = {**other.state_arrays(), "enc0.attn.bk": np.zeros(8)}  # attention once had a key bias
-    with pytest.raises(ValueError, match=r"lacks: \['enc0\.attn\.bk'\]"):
-        model.load_state(with_key_bias)
-    with pytest.raises(ValueError, match="enc1.ffn.w1"):
-        model.load_state(deeper.state_arrays(), transfer_only=True)
-    for name, value in before.items():  # nothing was loaded
-        np.testing.assert_array_equal(model.params[name].data, value)
+    misshapen = {**other.state_arrays(), "final.ln.g": np.ones(9)}
+    refusals = [
+        (model, with_key_bias, {}, r"lacks: \['enc0\.attn\.bk'\]"),
+        (model, deeper.state_arrays(), {"transfer_only": True}, "enc1.ffn.w1"),
+        (deep_model, other.state_arrays(), {}, "missing parameter 'enc1.ln1.g'"),
+        (model, misshapen, {}, r"'final\.ln\.g' shape \(9,\)"),
+    ]
+    for target, arrays, options, message in refusals:
+        before = target.state_arrays()
+        with pytest.raises(ValueError, match=message):
+            target.load_state(arrays, **options)
+        for name, value in before.items():  # nothing was loaded
+            np.testing.assert_array_equal(target.params[name].data, value, strict=True)
 
 
 def test_state_snapshot_unchanged_by_adam_steps():
@@ -588,7 +596,9 @@ def test_state_snapshot_unchanged_by_adam_steps():
     step()
     step()
     assert not np.array_equal(model.params["enc0.ffn.w1"].data, kept["enc0.ffn.w1"])
+    arrays = {name: p.data for name, p in model.params.items()}
     model.load_state(snapshot)  # the loaded parameters are copies as well
+    assert all(p.data is arrays[name] for name, p in model.params.items())
     step()
     for name, value in kept.items():
         np.testing.assert_array_equal(snapshot[name], value)
