@@ -512,8 +512,6 @@ class TestAdamSegments:
         for name, x in loaded.items():
             params[name].data[...] = x
         before = {name: p.data.copy() for name, p in params.items()}
-        for name, x in loaded.items():
-            np.testing.assert_array_equal(before[name], x, strict=True)
         grads = self._fill_grads(params, rng)
         adam_step(params, state)
         c1, c2 = 1.0 - _BETA1**2, 1.0 - _BETA2**2

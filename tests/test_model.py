@@ -597,7 +597,7 @@ def test_state_snapshot_unchanged_by_adam_steps():
     step()
     assert not np.array_equal(model.params["enc0.ffn.w1"].data, kept["enc0.ffn.w1"])
     arrays = {name: p.data for name, p in model.params.items()}
-    model.load_state(snapshot)  # the loaded parameters are copies as well
+    model.load_state(snapshot)  # written into the arrays the AdamState placed, never aliasing the snapshot
     assert all(p.data is arrays[name] for name, p in model.params.items())
     step()
     for name, value in kept.items():
