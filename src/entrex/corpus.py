@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Collection, Container, Iterable, Mapping
 
 NULL_IDENTIFIER = "-"            # unnormalized mention, excluded from pairing and masking
@@ -176,7 +177,7 @@ def _breaks(value: str, tab: bool = True) -> bool:
 
 
 def check_relations(
-    pmid: str, relations: Iterable[RelationAnnotation], known: Container[str], what: str
+    pmid: str, relations: Collection[RelationAnnotation], known: Container[str], what: str
 ) -> None:
     """The relation rules, for one document's relations (gold or predicted).
 
@@ -185,18 +186,23 @@ def check_relations(
     in ``NOVELTY_CLASSES``, at most one relation per unordered pair, and
     every endpoint a non-null identifier in ``known`` (those with a mention).
     ``what`` names the relations in the error, e.g. ``"predicted relation"``.
+    The label rules run first, once per distinct label, so with several
+    faulty relations the error names a faulty label before a faulty pair.
     """
+    types = {r.relation_type for r in relations}
+    if NO_RELATION_LABEL in types:
+        raise CorpusError(f"{what} type {NO_RELATION_LABEL!r} is reserved for unrelated pairs", pmid=pmid)
+    for relation_type in sorted(types):  # sorted: the same label is named on every run
+        if _breaks(relation_type):
+            raise CorpusError(f"{what} type {relation_type!r} holds a tab or line break", pmid=pmid)
+    for novelty in sorted({r.novelty for r in relations}):
+        if novelty not in NOVELTY_CLASSES:
+            raise CorpusError(f"unknown novelty label {novelty!r}", pmid=pmid)
     seen_pairs: set[tuple[str, str]] = set()
     for r in relations:
-        if r.relation_type == NO_RELATION_LABEL:
-            raise CorpusError(f"{what} type {NO_RELATION_LABEL!r} is reserved for unrelated pairs", pmid=pmid)
-        if _breaks(r.relation_type):
-            raise CorpusError(f"{what} type {r.relation_type!r} holds a tab or line break", pmid=pmid)
-        if r.id_a == r.id_b:
+        key = canonical_pair(r.id_a, r.id_b)
+        if key[0] == key[1]:
             raise CorpusError(f"self-relation on identifier {r.id_a!r}", pmid=pmid)
-        if r.novelty not in NOVELTY_CLASSES:
-            raise CorpusError(f"unknown novelty label {r.novelty!r}", pmid=pmid)
-        key = r.pair_key()
         if key in seen_pairs:
             raise CorpusError(f"duplicate {what}s on pair {key}", pmid=pmid)
         seen_pairs.add(key)
@@ -240,46 +246,44 @@ def _parse_int_offset(field: str, what: str, pmid: str, line_no: int) -> int:
     return int(field)
 
 
-def _parse_block(numbered: list[tuple[int, str]]) -> Document:
-    """Build one document from its numbered lines: syntax checks only; the
-    :class:`Document` checks the invariants."""
-    line_no, first = numbered[0]
-    head = first.split("|", 2)
+def _parse_block(lines: list[str], first: int, stop: int) -> Document:
+    """Build one document from ``lines[first:stop]``: syntax checks only; the
+    :class:`Document` checks the invariants.  ``lines[i]`` is line ``i + 1``."""
+    head = lines[first].split("|", 2)
     if len(head) != 3 or head[1] != "t":
-        raise CorpusError("expected 'PMID|t|title' line", line_no=line_no)
+        raise CorpusError("expected 'PMID|t|title' line", line_no=first + 1)
     pmid, _, title = head
-    if len(numbered) < 2:
-        raise CorpusError("block has no abstract line", pmid, line_no)
-    line_no_a, second = numbered[1]
-    head = second.split("|", 2)
+    if stop - first < 2:
+        raise CorpusError("block has no abstract line", pmid, first + 1)
+    head = lines[first + 1].split("|", 2)
     if len(head) != 3 or head[1] != "a":
-        raise CorpusError("expected 'PMID|a|abstract' line", pmid, line_no_a)
+        raise CorpusError("expected 'PMID|a|abstract' line", pmid, first + 2)
     if head[0] != pmid:
-        raise CorpusError(f"abstract PMID {head[0]!r} does not match title", pmid, line_no_a)
+        raise CorpusError(f"abstract PMID {head[0]!r} does not match title", pmid, first + 2)
     abstract = head[2]
 
+    intern = sys.intern
     mentions: list[Mention] = []
     relations: list[RelationAnnotation] = []
-    for line_no, line in numbered[2:]:
-        fields = line.split("\t")
+    for i in range(first + 2, stop):
+        fields = lines[i].split("\t")
         if fields[0] != pmid:
-            raise CorpusError(f"annotation PMID {fields[0]!r} does not match block", pmid, line_no)
+            raise CorpusError(f"annotation PMID {fields[0]!r} does not match block", pmid, i + 1)
         if len(fields) == 6:
-            start = _parse_int_offset(fields[1], "start offset", pmid, line_no)
-            end = _parse_int_offset(fields[2], "end offset", pmid, line_no)
-            surface, entity_type = sys.intern(fields[3]), sys.intern(fields[4])
-            identifiers = tuple(sys.intern(i.strip()) for i in fields[5].split(","))
-            mentions.append(Mention(start, end, surface, entity_type, identifiers))
+            start = _parse_int_offset(fields[1], "start offset", pmid, i + 1)
+            end = _parse_int_offset(fields[2], "end offset", pmid, i + 1)
+            identifiers = tuple(map(intern, map(str.strip, fields[5].split(","))))
+            mentions.append(Mention(start, end, intern(fields[3]), intern(fields[4]), identifiers))
         elif len(fields) == 5:
-            relation_type, id_a, id_b, novelty = map(sys.intern, fields[1:])
-            relations.append(RelationAnnotation(id_a, id_b, relation_type, novelty))
+            _, relation_type, id_a, id_b, novelty = fields
+            relations.append(RelationAnnotation(intern(id_a), intern(id_b), intern(relation_type), intern(novelty)))
         else:
             raise CorpusError(
                 f"annotation line has {len(fields)} fields (expected 6 for an entity, 5 for a relation)",
-                pmid, line_no,
+                pmid, i + 1,
             )
 
-    mentions.sort(key=lambda m: (m.start, m.end))
+    mentions.sort(key=attrgetter("start", "end"))
     return Document(pmid, title, abstract, tuple(mentions), tuple(relations))
 
 
@@ -287,19 +291,19 @@ def parse_pubtator(text: str) -> list[Document]:
     """Parse blank-line-separated PubTator blocks into validated documents."""
     docs: list[Document] = []
     seen_pmids: set[str] = set()
-    block: list[tuple[int, str]] = []
     lines = text.splitlines()
-    for line_no, line in enumerate(lines + [""], start=1):
+    lines.append("")  # ends the last block
+    first = 0  # index of the current block's first line
+    for stop, line in enumerate(lines):
         if line:
-            block.append((line_no, line))
             continue
-        if block:
-            doc = _parse_block(block)
+        if first < stop:
+            doc = _parse_block(lines, first, stop)
             if doc.pmid in seen_pmids:
-                raise CorpusError("duplicate document", doc.pmid, block[0][0])
+                raise CorpusError("duplicate document", doc.pmid, first + 1)
             seen_pmids.add(doc.pmid)
             docs.append(doc)
-            block = []
+        first = stop + 1
     return docs
 
 

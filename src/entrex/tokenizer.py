@@ -167,12 +167,26 @@ def load_vocab(path: str | Path) -> Vocabulary:
 
 
 def split_tokens(text: str, mentions: Sequence[Mention]) -> list[tuple[int, int, str]]:
-    """Lower-cased (start, end, token) triples with mention-boundary cuts."""
-    cuts = sorted({m.start for m in mentions} | {m.end for m in mentions} | {0, len(text)})
+    """Lower-cased (start, end, token) triples with mention-boundary cuts.
+
+    One scan of the whole text.  A cut can fall strictly inside a token
+    only when the token is a run of word characters (any other token is one
+    character long); such a run is emitted as its pieces between cuts, each
+    lower-cased on its own, as a scan of each segment between cuts gives them.
+    """
+    # len(text) stops the walk: no token starts at it or ends after it.
+    cuts = sorted({m.start for m in mentions} | {m.end for m in mentions} | {len(text)})
     out: list[tuple[int, int, str]] = []
-    for seg_start, seg_end in zip(cuts, cuts[1:]):
-        for match in _TOKEN_RE.finditer(text, seg_start, seg_end):
-            out.append((match.start(), match.end(), match.group().lower()))
+    k = 0
+    for match in _TOKEN_RE.finditer(text):
+        start, end = match.span()
+        while cuts[k] <= start:
+            k += 1
+        while cuts[k] < end:
+            out.append((start, cuts[k], text[start:cuts[k]].lower()))
+            start = cuts[k]
+            k += 1
+        out.append((start, end, text[start:end].lower()))
     return out
 
 

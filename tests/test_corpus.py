@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,76 @@ def test_parse_rejects_the_reserved_relation_label():
     with pytest.raises(CorpusError, match="'None' is reserved") as exc:
         parse_pubtator(text)
     assert exc.value.pmid == "42"
+
+
+# Three identifiers, so that two valid relations can come before a faulty one.
+THREE_IDS_BLOCK = (
+    "42|t|A B.\n"
+    "42|a|C binds D and E.\n"
+    "42\t5\t6\tC\tChemical\tC1\n"
+    "42\t13\t14\tD\tGene\tG1\n"
+    "42\t19\t20\tE\tGene\tG2\n"
+)
+VALID_RELATIONS = [RelationAnnotation("C1", "G1", "Bind", "Novel"), RelationAnnotation("C1", "G2", "Bind", "No")]
+
+
+@pytest.mark.parametrize(
+    "relation_type, novelty, fragment",
+    [
+        ("None", "No", "'None' is reserved"),
+        ("Bi\tnd", "No", "'Bi\\tnd' holds a tab or line break"),
+        ("Bind", "Maybe", "unknown novelty label 'Maybe'"),
+    ],
+    ids=["reserved-type", "tab-in-type", "unknown-novelty"],
+)
+def test_relation_rules_hold_for_every_relation(relation_type, novelty, fragment):
+    """Each label is checked once per document; a fault on the last relation
+    is still found, in gold relations and in predictions alike."""
+    doc = parse_pubtator(THREE_IDS_BLOCK)[0]
+    relations = [*VALID_RELATIONS, RelationAnnotation("G1", "G2", relation_type, novelty)]
+    attempts = [
+        lambda: dataclasses.replace(doc, relations=tuple(relations)),
+        lambda: write_pubtator([doc], {"42": relations}),
+    ]
+    if "\t" not in relation_type:  # a tab would split the written line into other fields
+        lines = "".join(f"42\t{r.relation_type}\t{r.id_a}\t{r.id_b}\t{r.novelty}\n" for r in relations)
+        attempts.append(lambda: parse_pubtator(THREE_IDS_BLOCK + lines))
+    for attempt in attempts:
+        with pytest.raises(CorpusError, match=re.escape(fragment)) as exc:
+            attempt()
+        assert exc.value.pmid == "42"
+
+
+def _three_blocks_crlf(line_no, replacement):
+    """Three blocks of five lines, CRLF line endings, two blank lines between
+    blocks (so blocks start at lines 1, 8 and 15); 1-based line ``line_no``
+    replaced."""
+    lines = []
+    for pmid in ("42", "43", "44"):
+        lines += [line.replace("42", pmid, 1) for line in SIMPLE_BLOCK.splitlines()] + ["", ""]
+    lines[line_no - 1] = replacement
+    return "\r\n".join(lines[:-2]) + "\r\n"
+
+
+@pytest.mark.parametrize(
+    "line_no, replacement, pmid, fragment",
+    [
+        (8, "43|x|A B.", None, "expected 'PMID|t|title' line"),
+        (16, "44|x|C binds D.", "44", "expected 'PMID|a|abstract' line"),
+        (18, "45\t13\t14\tD\tGene\tG1", "44", "annotation PMID '45' does not match block"),
+        (12, "43\tBind\tC1\tG1", "43", "annotation line has 4 fields"),
+        (17, "44\t5\tsix\tC\tChemical\tC1", "44", "end offset 'six' is not a non-negative integer"),
+        (15, "42|t|A B.", "42", "duplicate document"),
+    ],
+    ids=["bad-t-line", "bad-a-line", "pmid-mismatch", "field-count", "bad-offset", "repeated-pmid"],
+)
+def test_syntax_errors_name_their_exact_line(line_no, replacement, pmid, fragment):
+    text = _three_blocks_crlf(line_no, replacement)
+    if pmid == "42":  # the repeated PMID names the whole third block
+        text = text.replace("\r\n44", "\r\n42")
+    with pytest.raises(CorpusError, match=re.escape(fragment)) as exc:
+        parse_pubtator(text)
+    assert (exc.value.line_no, exc.value.pmid) == (line_no, pmid)
 
 
 @pytest.mark.parametrize("predicted", [None, {}], ids=["own-relations", "predictions"])

@@ -17,6 +17,7 @@ from entrex.tokenizer import (
     PAD_ID,
     SEP_ID,
     UNK_ID,
+    _TOKEN_RE,
     Vocabulary,
     build_vocab,
     frame,
@@ -234,6 +235,32 @@ def test_token_spans_stay_faithful_to_the_text(doc):
     for m, (lo, hi) in zip(doc.mentions, tok.mention_token_ranges):
         assert lo < hi
         assert "".join(words[lo:hi]) == "".join(m.surface.split()).lower()
+
+
+def _split_tokens_per_segment(text, mentions):
+    """Reference: one regex scan of each segment between mention boundaries."""
+    cuts = sorted({m.start for m in mentions} | {m.end for m in mentions} | {0, len(text)})
+    out = []
+    for seg_start, seg_end in zip(cuts, cuts[1:]):
+        for match in _TOKEN_RE.finditer(text, seg_start, seg_end):
+            out.append((match.start(), match.end(), match.group().lower()))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents())
+def test_one_scan_equals_the_per_segment_scan(doc):
+    assert split_tokens(doc.full_text, doc.mentions) == _split_tokens_per_segment(doc.full_text, doc.mentions)
+
+
+def test_word_cut_by_mentions_lowercases_each_piece():
+    """A final sigma lower-cases by its context: "ΟΔΟΣΑ" gives "οδοσα",
+    but its piece "ΟΔΟΣ" alone gives "οδος"."""
+    text = "ΟΔΟΣΑ binds IL2R."
+    mentions = [Mention(0, 4, "ΟΔΟΣ", "Gene", ("G1",)), Mention(12, 14, "IL", "Gene", ("G2",))]
+    expected = [(0, 4, "οδος"), (4, 5, "α"), (6, 11, "binds"), (12, 14, "il"), (14, 16, "2r"), (16, 17, ".")]
+    assert split_tokens(text, mentions) == expected
+    assert _split_tokens_per_segment(text, mentions) == expected
 
 
 def _scan_mention_ranges(spans, mentions):
