@@ -137,6 +137,8 @@ class RelationModel:
     # --- parameter views -------------------------------------------------
 
     def pretrain_parameters(self) -> dict[str, Tensor]:
+        """All but the fine-tuning heads, so pretraining leaves them at their initial weights.  A head added
+        for fine-tuning must join this exclusion, or ``adam_step`` raises: that head has no gradient."""
         return {
             k: v
             for k, v in self.params.items()
@@ -144,6 +146,8 @@ class RelationModel:
         }
 
     def finetune_parameters(self) -> dict[str, Tensor]:
+        """All but the pretraining heads, so fine-tuning leaves them as pretraining did.  A head added
+        for pretraining must join this exclusion, or ``adam_step`` raises: that head has no gradient."""
         return {
             k: v
             for k, v in self.params.items()
@@ -158,8 +162,8 @@ class RelationModel:
 
         Every name and shape is checked before anything is written, so a
         refused load writes nothing.  With ``transfer_only`` the head
-        parameters are skipped: encoder and embedding weights transfer
-        while heads keep their fresh init.
+        parameters are skipped: encoder and embedding weights load while
+        heads keep their values.  A run needs no such reload (see the views).
         """
         unknown = sorted(set(arrays) - self.params.keys())
         if unknown:

@@ -1,11 +1,12 @@
-"""The experiment as one code path: pretrain, transfer, fine-tune, predict.
+"""The experiment as one code path: pretrain, fine-tune, predict.
 
 A training step (:func:`train_step`) checks that the loss is finite, naming
 the PMID and the pair if any, then runs ``backward()`` and one Adam update
 over the step's parameter view; the caller owns the step order, the dropout
-rng and the ``AdamState``.  The transfer restarts the heads from the initial
-weights.  The decode rule: a pair is related when its relation argmax is not
-the reserved ``None``; its novelty is then the argmax over ``No``/``Novel``.
+rng and the ``AdamState``.  The views keep each stage's heads out of the
+other, so fine-tuning starts from the pretrained encoder and the initial
+pair heads.  The decode rule: a pair is related when its relation argmax is
+not the reserved ``None``; its novelty is then the argmax over ``No``/``Novel``.
 Non-finite logits raise.  The model's vocabulary, ``mdl.vocab``, tags pairs,
 indexes labels and decodes; only ``run`` takes one.  Library calls go through
 module attributes (``optim.adam_step``, ...) so a tracer sees them.
@@ -56,12 +57,6 @@ def finetune_step(
     return train_step(loss, mdl.finetune_parameters(), state, doc.pmid, pair)
 
 
-def transfer(mdl: model.RelationModel, init: Mapping[str, np.ndarray]) -> None:
-    pretrained = mdl.state_arrays()
-    mdl.load_state(init)
-    mdl.load_state(pretrained, transfer_only=True)
-
-
 def predict_pair(
     mdl: model.RelationModel, tok: TokenizedDocument, doc: Document, pair: PairCandidate
 ) -> RelationAnnotation | None:
@@ -80,17 +75,21 @@ def run(
     docs: Sequence[Document], vocab: Vocabulary, cfg: model.EncoderConfig, lr: float,
     pretrain_epochs: int, finetune_epochs: int, seed: int,
 ) -> tuple[model.RelationModel, list[float], list[float]]:
-    """Pretrain, transfer, then fine-tune on every candidate pair of ``docs``; the model and step losses.
+    """Pretrain, then fine-tune on every candidate pair of ``docs``; the model and step losses.
 
-    ``seed`` spawns the streams of the initial weights, dropout, each epoch's masking seed and pair order.
+    The parameter views start fine-tuning from the initial relation and novelty heads and leave the identifier
+    and type heads pretrained.  ``seed`` spawns the streams of the initial weights, dropout, each epoch's masking
+    seed and pair order.  Both epoch counts must be non-negative integers.
     """
+    for name, epochs in (("pretrain_epochs", pretrain_epochs), ("finetune_epochs", finetune_epochs)):
+        if not isinstance(epochs, int) or epochs < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {epochs!r}")
     init_rng, dropout_rng, masking_rng, order_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
     mdl = model.RelationModel(cfg, vocab, init_rng)
-    init, state, pretrain_losses = mdl.state_arrays(), optim.AdamState(lr=lr), []
+    state, pretrain_losses = optim.AdamState(lr=lr), []
     for epoch_seed in masking_rng.integers(2**63, size=pretrain_epochs).tolist():
         for inst in masking.build_pretraining_instances(docs, vocab, masking.MaskingConfig(), epoch_seed, cfg.max_len):
             pretrain_losses.append(pretrain_step(mdl, inst, state, dropout_rng))
-    transfer(mdl, init)
     toks = [tokenizer.tokenize_document(doc, vocab) for doc in docs]
     examples = [(tok, doc, pair) for tok, doc in zip(toks, docs) for pair in corpus.candidate_pairs(doc)]
     state, finetune_losses = optim.AdamState(lr=lr), []

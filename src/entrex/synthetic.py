@@ -25,13 +25,14 @@ _SYLLABLES = ("ba", "co", "di", "fu", "ga", "lo", "mi", "na", "pe", "ra", "si", 
 _ENTITY_TYPES = ("Chemical", "Disease", "Gene", "Variant")
 _RELATION_TYPES = ("Association", "Bind", "Positive_Correlation", "Negative_Correlation")
 
-# One sentence pattern per relation type; the novelty tail disambiguates
+# One sentence pattern per relation type: the words between its two
+# mentions and the words after the second.  The novelty tail disambiguates
 # Novel vs No so both tasks are learnable from the surface.
 _RELATION_PATTERNS = {
-    "Association": "{a} is associated with {b}",
-    "Bind": "{a} binds {b} with high affinity",
-    "Positive_Correlation": "{a} increases {b} levels",
-    "Negative_Correlation": "{a} decreases {b} levels",
+    "Association": ("is associated with", ""),
+    "Bind": ("binds", "with high affinity"),
+    "Positive_Correlation": ("increases", "levels"),
+    "Negative_Correlation": ("decreases", "levels"),
 }
 _NOVELTY_TAILS = {"Novel": "as a new finding .", "No": "as previously reported ."}
 
@@ -208,13 +209,8 @@ def _fixture_document(pmid, entity_ids, relations) -> Document:
     title_parts: list = ["study of", _mention_spec(entity_ids[0]), "in the clinical cohort ."]
     abstract_parts: list = []
     for id_a, id_b, rel_type, novelty in relations:
-        pattern = _RELATION_PATTERNS[rel_type]
-        head, _, tail = pattern.partition("{a}")[2].partition("{b}")
-        abstract_parts += [_mention_spec(id_a), head.strip()]
-        abstract_parts += [_mention_spec(id_b)]
-        if tail.strip():
-            abstract_parts.append(tail.strip())
-        abstract_parts.append(_NOVELTY_TAILS[novelty])
+        between, after = _RELATION_PATTERNS[rel_type]
+        abstract_parts += [_mention_spec(id_a), between, _mention_spec(id_b), after, _NOVELTY_TAILS[novelty]]
     mentioned = {i for r in relations for i in (r[0], r[1])}
     for ident in entity_ids:
         if ident not in mentioned:

@@ -1,6 +1,7 @@
 """PubTator parser, candidate generation, and round-trip tests."""
 
 import dataclasses
+import hashlib
 import itertools
 import re
 
@@ -21,6 +22,7 @@ from entrex.corpus import (
     parse_pubtator,
     write_pubtator,
 )
+from entrex import synthetic
 from entrex.synthetic import random_corpus, random_document
 
 SIMPLE_BLOCK = (
@@ -204,6 +206,13 @@ def test_candidates_match_bruteforce_enumeration():
 def test_write_roundtrip_fixture():
     docs = parse_pubtator(SIMPLE_BLOCK)
     assert parse_pubtator(write_pubtator(docs)) == docs
+
+
+def test_fixture_corpora_are_pinned():
+    """The train, dev and test fixtures' PubTator text, byte for byte."""
+    docs = synthetic.fixture_train_corpus() + synthetic.fixture_dev_corpus() + synthetic.fixture_test_corpus()
+    digest = hashlib.sha256(write_pubtator(docs).encode("utf-8")).hexdigest()
+    assert digest == "5ad306ac5c64448d6606649662e11f8e33d60514d3846acd1a40783993991c39"
 
 
 def test_write_empty_prediction_map_drops_relations():

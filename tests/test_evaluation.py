@@ -1,6 +1,7 @@
 """Four-level micro scoring: counts, conventions and input checks."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ def test_four_levels_on_a_hand_built_set():
     assert pair.f1 == pytest.approx(0.75)
     per_type = {t: (m.tp, m.fp, m.fn) for t, m in report.per_relation_type.items()}
     assert per_type == {"Bind": (1, 3, 1), "Assoc": (0, 1, 1)}
+
+
+def test_report_json_record():
+    """The levels by value, the relation types sorted, integer counts and scores rounded to 6 places."""
+    report = evaluate(GOLD, PRED)
+    text = report.to_json()
+    assert text.endswith("\n")
+    data = json.loads(text)
+    assert set(data["levels"]) == {lvl.value for lvl in MatchLevel}
+    assert list(data["per_relation_type"]) == sorted(report.per_relation_type) == ["Assoc", "Bind"]
+    records = [(data["levels"][lvl.value], m) for lvl, m in report.levels.items()]
+    records += [(data["per_relation_type"][t], m) for t, m in report.per_relation_type.items()]
+    for record, metrics in records:
+        assert record == metrics.to_json_dict()
+        assert all(type(record[k]) is int for k in ("tp", "fp", "fn"))
+        assert [record[k] for k in ("tp", "fp", "fn")] == [metrics.tp, metrics.fp, metrics.fn]
+        assert [record[k] for k in ("precision", "recall", "f1")] == [
+            round(x, 6) for x in (metrics.precision, metrics.recall, metrics.f1)
+        ]
+    assert data["levels"]["pair+novelty"]["recall"] == 0.666667  # 2/3
+    assert data["per_relation_type"]["Bind"]["f1"] == 0.333333  # 1/3
 
 
 def test_prf_conventions():

@@ -1,6 +1,7 @@
 """Encoder, head, and loss tests, including an independent numpy forward."""
 
 import functools
+import json
 import math
 import platform
 import resource
@@ -58,6 +59,12 @@ def test_config_validation():
         for value in (0, -1):
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 EncoderConfig(**{name: value})
+
+
+@pytest.mark.parametrize("cfg", [EncoderConfig(), EncoderConfig(precision="float64", dropout=0.0)])
+def test_config_json_record_round_trips(cfg):
+    record = cfg.to_json_dict()
+    assert EncoderConfig(**record) == cfg == EncoderConfig(**json.loads(json.dumps(record)))
 
 
 def test_loss_weights_validation():

@@ -1,4 +1,4 @@
-"""The pipeline: one training step, the transfer, the decode rule, and whole runs."""
+"""The pipeline: one training step, the decode rule, and whole runs."""
 
 import ast
 import importlib.util
@@ -96,18 +96,8 @@ def test_predict_pair_rejects_non_finite_logits(head):
         pipeline.predict_pair(mdl, tok, doc, pair)
 
 
-def test_transfer_keeps_the_encoder_and_restarts_the_heads():
-    mdl, vocab, *_ = _one_pair(seed=3)
-    init = mdl.state_arrays()
-    pretrained = RelationModel(TINY, vocab, np.random.default_rng(4)).state_arrays()
-    mdl.load_state(pretrained)  # as pretraining leaves it, heads included
-    pipeline.transfer(mdl, init)
-    for name, p in mdl.params.items():
-        np.testing.assert_array_equal(p.data, (init if name.startswith("head.") else pretrained)[name], err_msg=name)
-
-
 def test_training_run_is_bit_identical_on_rerun():
-    """Pretrain, transfer and fine-tune with dropout and Adam, twice, then predict the dev split."""
+    """Pretrain and fine-tune with dropout and Adam, twice, then predict the dev split."""
     train, dev = synthetic.fixture_train_corpus(), synthetic.fixture_dev_corpus()
     vocab = tokenizer.build_vocab(train + dev)
     runs = []
@@ -128,7 +118,10 @@ def test_training_run_is_bit_identical_on_rerun():
 
 
 def test_run_arms_of_one_seed_share_their_heads():
-    """Arm (a), no pretraining, and arm (b), two epochs of it, start fine-tuning from the same heads."""
+    """Arm (a), no pretraining, and arm (b), two epochs of it, start fine-tuning from the same pair heads.
+
+    Pretraining moves every other parameter, the identifier and type heads included.
+    """
     train = synthetic.fixture_train_corpus()
     vocab = tokenizer.build_vocab(train)
     for seed in (1, 2):
@@ -138,7 +131,48 @@ def test_run_arms_of_one_seed_share_their_heads():
         state_a, state_b = mdl_a.state_arrays(), mdl_b.state_arrays()
         for name in state_a:
             same = np.array_equal(state_a[name], state_b[name])
-            assert same == name.startswith("head."), name
+            assert same == name.startswith(("head.relation.", "head.novelty.")), name
+
+
+def test_run_equals_a_run_with_the_benchmarks_transfer(monkeypatch):
+    """Reloading the initial weights and then the pretrained encoder before fine-tuning changes nothing.
+
+    This is the ``train`` unit's transfer: ``load_state(init)``, then
+    ``load_state(pretrained, transfer_only=True)``, done here before the first
+    fine-tuning step.
+    """
+    train, dev = synthetic.fixture_train_corpus(), synthetic.fixture_dev_corpus()
+    vocab = tokenizer.build_vocab(train + dev)
+    finetune_step = pipeline.finetune_step
+    for seed in (1, 2):
+        init = pipeline.run(train, vocab, TINY, 1e-3, 0, 0, seed)[0].state_arrays()
+        mdl, pretrain_losses, finetune_losses = pipeline.run(train, vocab, TINY, 1e-3, 2, 2, seed)
+        transferred = []
+
+        def step_after_transfer(mdl, *args):
+            if not transferred:
+                pretrained = mdl.state_arrays()
+                mdl.load_state(init)
+                mdl.load_state(pretrained, transfer_only=True)
+                transferred.append(True)
+            return finetune_step(mdl, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "finetune_step", step_after_transfer)
+            mdl_t, pretrain_t, finetune_t = pipeline.run(train, vocab, TINY, 1e-3, 2, 2, seed)
+        assert transferred == [True]
+        assert pretrain_t == pretrain_losses and finetune_t == finetune_losses
+        assert pipeline.predict(mdl_t, dev) == pipeline.predict(mdl, dev)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("pretrain_epochs", -1), ("finetune_epochs", -1), ("pretrain_epochs", 1.5), ("finetune_epochs", 1.5)]
+)
+def test_run_rejects_an_impossible_epoch_count(name, value):
+    train = synthetic.fixture_train_corpus()
+    counts = {"pretrain_epochs": 1, "finetune_epochs": 1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be a non-negative integer, got {value}"):
+        pipeline.run(train, tokenizer.build_vocab(train), TINY, 1e-3, seed=1, **counts)
 
 
 def test_library_calls_traced_functions_by_module_attribute():
@@ -174,6 +208,7 @@ def test_traced_counts_of_a_run_and_a_prediction():
     predicted_pairs = sum(len(corpus.candidate_pairs(doc)) for doc in dev)
     assert instances == len(pretrain_losses) == len(train)
     assert tracer.calls["optim.adam_step"] == instances + steps
+    assert tracer.calls["model.load_state"] == 0  # no whole-model reload between the stages
     assert tracer.calls["model.finetune_loss"] == steps
     assert tracer.calls["tokenizer.insert_pair_tags"] == steps + predicted_pairs
     # masking, fine-tuning and prediction each tokenize their documents once
