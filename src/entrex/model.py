@@ -49,6 +49,9 @@ class EncoderConfig:
     precision: str = "float32"
 
     def __post_init__(self):
+        for name in ("d_model", "n_layers", "n_heads", "ffn_dim", "max_len"):
+            if type(getattr(self, name)) is not int:  # refuses bool and numpy integers as well
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         for name in ("d_model", "n_layers", "n_heads", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -79,10 +79,10 @@ def run(
 
     The parameter views start fine-tuning from the initial relation and novelty heads and leave the identifier
     and type heads pretrained.  ``seed`` spawns the streams of the initial weights, dropout, each epoch's masking
-    seed and pair order.  Both epoch counts must be non-negative integers.
+    seed and pair order.  Both epoch counts must be non-negative ``int``s.
     """
     for name, epochs in (("pretrain_epochs", pretrain_epochs), ("finetune_epochs", finetune_epochs)):
-        if not isinstance(epochs, int) or epochs < 0:
+        if type(epochs) is not int or epochs < 0:  # refuses bool and numpy integers as well
             raise ValueError(f"{name} must be a non-negative integer, got {epochs!r}")
     init_rng, dropout_rng, masking_rng, order_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
     mdl = model.RelationModel(cfg, vocab, init_rng)

@@ -4,7 +4,8 @@ The random generator produces structurally valid documents for property
 tests.  The fixture corpora are small deterministic train/dev/test
 partitions whose relation labels follow surface patterns (one phrasing
 per relation type), so a compact model can memorize the training set and
-generalize the patterns to held-out documents.
+generalize the patterns to held-out documents.  Both compose a document
+in one pass: mention offsets are computed once, where each word is placed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ _FILLER = (
 )
 _SYLLABLES = ("ba", "co", "di", "fu", "ga", "lo", "mi", "na", "pe", "ra", "si", "tu", "ve", "zo")
 _ENTITY_TYPES = ("Chemical", "Disease", "Gene", "Variant")
-_RELATION_TYPES = ("Association", "Bind", "Positive_Correlation", "Negative_Correlation")
 
 # One sentence pattern per relation type: the words between its two
 # mentions and the words after the second.  The novelty tail disambiguates
@@ -41,48 +41,31 @@ _P_NULL_MENTION = 0.15  # and of a mention with the null identifier
 _P_RELATION = 0.4       # and of a relation on each pair of its identifiers
 
 
-def _compose(parts: list) -> tuple[str, list[Mention]]:
-    """Join words and mention specs into text, computing mention offsets.
+def _compose(parts: list, pos: int) -> tuple[str, list[Mention]]:
+    """Join words and mention specs into text that starts at offset ``pos``.
 
     ``parts`` items are plain strings (split on whitespace) or tuples
-    ``(surface, entity_type, identifiers)`` marking a mention.
+    ``(surface, entity_type, identifiers)`` marking a mention.  Each
+    mention's offsets are computed once, where its word is placed.
     """
-    words: list[tuple[str, tuple | None]] = []
+    words: list[str] = []
+    mentions: list[Mention] = []
     for part in parts:
         if isinstance(part, str):
-            words.extend((w, None) for w in part.split())
+            placed = part.split()
         else:
-            words.append((part[0], part))
-    text_parts: list[str] = []
-    mentions: list[Mention] = []
-    pos = 0
-    for i, (surface, spec) in enumerate(words):
-        if i:
-            pos += 1
-        if spec is not None:
-            mentions.append(Mention(pos, pos + len(surface), surface, spec[1], tuple(spec[2])))
-        text_parts.append(surface)
-        pos += len(surface)
-    return " ".join(text_parts), mentions
+            mentions.append(Mention(pos, pos + len(part[0]), *part))
+            placed = [part[0]]
+        words += placed
+        pos += sum(map(len, placed)) + len(placed)
+    return " ".join(words), mentions
 
 
 def _build_document(pmid, title_parts, abstract_parts, relations) -> Document:
-    title, title_mentions = _compose(title_parts)
-    abstract, abstract_mentions = _compose(abstract_parts)
-    shift = len(title) + 1
-    mentions = list(title_mentions)
-    mentions += [
-        Mention(m.start + shift, m.end + shift, m.surface, m.entity_type, m.identifiers)
-        for m in abstract_mentions
-    ]
-    mentions.sort(key=lambda m: (m.start, m.end))
-    return Document(
-        pmid=pmid,
-        title=title,
-        abstract=abstract,
-        mentions=tuple(mentions),
-        relations=tuple(RelationAnnotation(*r) for r in relations),
-    )
+    title, title_mentions = _compose(title_parts, 0)
+    abstract, abstract_mentions = _compose(abstract_parts, len(title) + 1)
+    relations = tuple(RelationAnnotation(*r) for r in relations)
+    return Document(pmid, title, abstract, (*title_mentions, *abstract_mentions), relations)
 
 
 def _pseudo_word(rng: np.random.Generator) -> str:
@@ -121,8 +104,8 @@ def random_document(
     same_type = [ids for ids in by_type.values() if len(ids) >= 2]
     if same_type and rng.random() < _P_COMPOSITE:
         group = same_type[int(rng.integers(len(same_type)))]
-        pair = list(rng.choice(group, size=2, replace=False))
-        mention_specs.append((_pseudo_word(rng), types[pair[0]], tuple(pair)))
+        pair = tuple(map(str, rng.choice(group, size=2, replace=False)))
+        mention_specs.append((_pseudo_word(rng), types[pair[0]], pair))
     if rng.random() < _P_NULL_MENTION:
         mention_specs.append((_pseudo_word(rng), str(rng.choice(_ENTITY_TYPES)), ("-",)))
     order = rng.permutation(len(mention_specs))
@@ -144,13 +127,13 @@ def random_document(
     abstract_parts.append(filler(1, 3) + " .")
 
     relations = []
-    for id_a, id_b in itertools.combinations(sorted(set(identifiers)), 2):
+    for id_a, id_b in itertools.combinations(sorted(identifiers), 2):
         if rng.random() >= _P_RELATION:
             continue
         if rng.random() < 0.5:
             id_a, id_b = id_b, id_a
         relations.append(
-            (id_a, id_b, str(rng.choice(_RELATION_TYPES)), str(rng.choice(("Novel", "No"))))
+            (id_a, id_b, str(rng.choice(tuple(_RELATION_PATTERNS))), str(rng.choice(tuple(_NOVELTY_TAILS))))
         )
     return _build_document(pmid, title_parts, abstract_parts, relations)
 

@@ -209,10 +209,21 @@ def test_write_roundtrip_fixture():
 
 
 def test_fixture_corpora_are_pinned():
-    """The train, dev and test fixtures' PubTator text, byte for byte."""
-    docs = synthetic.fixture_train_corpus() + synthetic.fixture_dev_corpus() + synthetic.fixture_test_corpus()
-    digest = hashlib.sha256(write_pubtator(docs).encode("utf-8")).hexdigest()
-    assert digest == "5ad306ac5c64448d6606649662e11f8e33d60514d3846acd1a40783993991c39"
+    """The PubTator text of the train, dev and test fixtures and of a seeded
+    random corpus, byte for byte, and every string in them a plain ``str``."""
+    pins = {
+        "5ad306ac5c64448d6606649662e11f8e33d60514d3846acd1a40783993991c39": (
+            synthetic.fixture_train_corpus() + synthetic.fixture_dev_corpus() + synthetic.fixture_test_corpus()
+        ),
+        "ddd26fd2152a98a33649b9823711b93483d5ad4e3d63309fc86164e4b97125ed": random_corpus(
+            np.random.default_rng(0), 200
+        ),
+    }
+    for pin, docs in pins.items():
+        assert hashlib.sha256(write_pubtator(docs).encode("utf-8")).hexdigest() == pin
+        strings = [s for d in docs for m in d.mentions for s in (m.surface, m.entity_type, *m.identifiers)]
+        strings += [s for d in docs for r in d.relations for s in (r.id_a, r.id_b)]
+        assert {type(s) for s in strings} == {str}
 
 
 def test_write_empty_prediction_map_drops_relations():

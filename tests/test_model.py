@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import platform
+import re
 import resource
 import tracemalloc
 
@@ -59,6 +60,12 @@ def test_config_validation():
         for value in (0, -1):
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 EncoderConfig(**{name: value})
+    # A float, a bool or a numpy integer is refused by name before any range check.
+    for bad in ({"d_model": 16.0, "n_heads": 2}, {"n_layers": 1.5}, {"max_len": 8.5}, {"ffn_dim": True},
+                {"n_heads": np.int64(2)}):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {bad[name]!r}")):
+            EncoderConfig(**bad)
 
 
 @pytest.mark.parametrize("cfg", [EncoderConfig(), EncoderConfig(precision="float64", dropout=0.0)])

@@ -166,7 +166,8 @@ def test_run_equals_a_run_with_the_benchmarks_transfer(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, value", [("pretrain_epochs", -1), ("finetune_epochs", -1), ("pretrain_epochs", 1.5), ("finetune_epochs", 1.5)]
+    "name, value",
+    [(name, value) for value in (-1, 1.5, True) for name in ("pretrain_epochs", "finetune_epochs")],
 )
 def test_run_rejects_an_impossible_epoch_count(name, value):
     train = synthetic.fixture_train_corpus()
