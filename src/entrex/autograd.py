@@ -5,7 +5,8 @@ backward closure plus parent links on the output tensor.  Calling
 ``backward()`` on a scalar walks the tape in reverse topological order,
 accumulating gradients into every parameter (leaf) that the loss depends
 on.  The tape is rebuilt on each forward pass; tensors and tapes are
-single-threaded.
+single-threaded.  An inference forward records no tape, so the model may
+run some of its ops on its worker thread (``model._RowWorker``).
 
 ``backward()`` consumes the tape as it walks it: once a node's closure has
 run, the node holds no gradient, parents or closure, so each activation

@@ -100,7 +100,11 @@ def run(
 
 
 def predict(mdl: model.RelationModel, docs: Sequence[Document]) -> dict[str, list]:
-    """The relations decoded over every candidate pair of each document, by PMID."""
+    """The relations decoded over every candidate pair of each document, by PMID.
+
+    A pair of 128 or more tagged tokens runs every encoder block but the last as two row halves, one on the
+    model's worker thread (``RelationModel.encode``); the decoded relations are the same as with one thread.
+    """
     predicted = {}
     for doc in docs:
         tok = tokenizer.tokenize_document(doc, mdl.vocab)

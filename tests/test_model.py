@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrex import autograd as ag
+from entrex import model as model_module
 from entrex.autograd import Tensor
 from entrex.masking import MaskedInstance, MaskedTarget
 from entrex.model import (
@@ -250,11 +251,11 @@ def test_row_selection_matches_full_encoding(rows, heads, n_layers, monkeypatch)
     outs, grads = run()
     read = []
 
-    def full_encoding(token_ids, rows, train=False, rng=None):
+    def full_encoding(token_ids, rows, p, train, rng):
         read.append(np.asarray(rows).tolist())
         return ag.embedding_lookup(_reference_tape(model, token_ids), rows)
 
-    monkeypatch.setattr(model, "encode", full_encoding)
+    monkeypatch.setattr(model, "_encode", full_encoding)
     ref_outs, ref_grads = run()
     assert read == [rows]
     for out, ref in zip(outs, ref_outs, strict=True):
@@ -459,6 +460,99 @@ def test_inference_forward_equals_training_forward_over_random_configs(
     for inference, training in pairs:
         assert inference.data.dtype == training.data.dtype == np.dtype(precision)
         assert np.array_equal(inference.data, training.data)
+
+
+class _InlineHalves:
+    """A stand-in for the model's worker that runs both row halves on the calling thread."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def run(self, top, bottom):
+        self.calls += 1
+        return top(), bottom()
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 255, 301, 512])
+def test_long_inference_forward_equals_training_forward(n, monkeypatch):
+    """From 128 rows an inference forward runs its first block as two row halves.  In float32 at
+    the default sizes they give the training forward's bits, on the worker thread or inline."""
+    model = RelationModel(EncoderConfig(dropout=0.0), _tiny_vocab(), np.random.default_rng(30))
+    ids = np.array([0, *(6 + np.random.default_rng(n).integers(0, 14, n - 2)), 1])
+    training = [model.encode(ids, [0], train=True), *model.finetune_forward(ids, train=True)]
+    threaded = [model.encode(ids, [0]), *model.finetune_forward(ids)]
+    inline = _InlineHalves()
+    monkeypatch.setattr(model_module, "_WORKER", inline)
+    inlined = [model.encode(ids, [0]), *model.finetune_forward(ids)]
+    assert inline.calls == (2 if n >= 128 else 0)  # one non-last block per forward
+    for train_out, threaded_out, inline_out in zip(training, threaded, inlined, strict=True):
+        assert np.array_equal(threaded_out.data, train_out.data)
+        assert np.array_equal(inline_out.data, train_out.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_heads=st.sampled_from([1, 2, 4]),
+    head_dim=st.integers(1, 4),
+    n_layers=st.integers(2, 3),
+    ffn_dim=st.integers(1, 24),
+    n=st.integers(4, 40),
+    precision=st.sampled_from(["float32", "float64"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_row_halves_give_the_same_bits_on_the_worker_and_inline(
+    n_heads, head_dim, n_layers, ffn_dim, n, precision, seed, data
+):
+    """With the split from 4 rows, an inference forward's bits do not depend on where its second half
+    runs.  Halves of a few rows, tiny widths and float64 may differ from the unsplit training forward
+    in the last bits, so that comparison is to a tolerance."""
+    model, vocab = _tiny_model(
+        seed, d_model=n_heads * head_dim, n_heads=n_heads, n_layers=n_layers,
+        ffn_dim=ffn_dim, max_len=40, precision=precision,
+    )
+    body = data.draw(st.lists(st.integers(PAD_ID + 1, len(vocab) - 1), min_size=n - 2, max_size=n - 2))
+    ids = np.array([0, *body, 1])
+
+    def forwards(train=False):
+        return [
+            model.encode(ids, np.arange(n), train=train),
+            model.encode(ids, [0], train=train),
+            *model.finetune_forward(ids, train=train),
+        ]
+
+    saved = model_module._SPLIT_ROWS, model_module._WORKER
+    model_module._SPLIT_ROWS = 4  # hypothesis refuses the function-scoped monkeypatch fixture
+    try:
+        threaded = forwards()
+        model_module._WORKER = inline = _InlineHalves()
+        inlined = forwards()
+    finally:
+        model_module._SPLIT_ROWS, model_module._WORKER = saved
+    assert inline.calls == 3 * (n_layers - 1)
+    tol = 1e-5 if precision == "float32" else 1e-12
+    for threaded_out, inline_out, train_out in zip(threaded, inlined, forwards(train=True), strict=True):
+        assert np.array_equal(threaded_out.data, inline_out.data)
+        np.testing.assert_allclose(threaded_out.data, train_out.data, rtol=tol, atol=tol)
+
+
+def test_one_weight_dict_per_forward(monkeypatch):
+    """Each forward builds its constant weights once and hands them to the encoder and the heads."""
+    model, _ = _tiny_model(seed=31, n_layers=2)
+    built = []
+    weights = model._weights
+    monkeypatch.setattr(model, "_weights", lambda train: built.append(train) or weights(train))
+    ids = np.array([0, 6, 9, 8, 7, 11, 1])
+    inst = _instance([(2, 4, 1, 0), (6, 8, 2, 1)])
+    for train in (False, True):
+        for forward in (
+            lambda: model.encode(ids, [0], train=train),
+            lambda: model.finetune_forward(ids, train=train),
+            lambda: model.pretrain_loss(inst, train=train),
+        ):
+            built.clear()
+            forward()
+            assert built == [train]
 
 
 def test_finetune_loss_perfect_is_zero():
