@@ -381,7 +381,7 @@ class RelationModel:
         model's worker thread (``_RowWorker``).  The keys and values of all
         n rows are projected once; each half then runs attention from its
         own query rows, the output projection, residual, ``ln2`` and FFN.
-        That adds 14 op calls per block and a hand-over to the worker, so
+        That adds 15 op calls per block and a hand-over to the worker, so
         it pays only on long sequences: on a 2-vCPU x86_64 host with one
         BLAS thread, a forward of a default-size model took 1.32 ms whole
         against 1.24 ms split at n = 128, 1.57 against 1.40 at n = 160 and
