@@ -18,9 +18,22 @@ which come from outside a document, pass the same relation rules in
 ``NO_RELATION_LABEL``, which marks a candidate pair without a relation.
 
 The parser interns every annotation field it stores (``sys.intern``), so
-a long corpus holds each repeated type, identifier and label once, and
-the records (:class:`Mention`, :class:`RelationAnnotation`,
-:class:`PairCandidate`) are slotted: they carry no ``__dict__``.
+a long corpus holds each repeated type, identifier and label once.
+
+The records (:class:`Mention`, :class:`RelationAnnotation`,
+:class:`PairCandidate`) are named tuples: immutable, with no ``__dict__``,
+and built without a per-field ``object.__setattr__``, which a frozen
+dataclass pays.  Building one takes 0.28-0.30 us against 0.61-0.74 us for
+a frozen, slotted dataclass (``timeit``, Python 3.11.7), and a long
+corpus builds tens of thousands per set-up.  Being tuples, records can be
+indexed and unpacked, and a record equals a plain tuple of the same
+fields, or a record of another type with equal fields; no code here
+compares records of different types.  A named tuple's field read takes
+about 18 ns against 8 ns for a slotted field, so the mention checks, which
+read each field several times, unpack each mention once into locals.
+Unpacking a tuple subclass does not take the interpreter's fast path for
+exact tuples (about 45 ns for four fields), so the relation checks, which
+read one or two fields of each relation, read attributes.
 """
 
 from __future__ import annotations
@@ -28,8 +41,8 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Collection, Container, Iterable, Mapping
+from operator import itemgetter
+from typing import Collection, Container, Iterable, Mapping, NamedTuple
 
 NULL_IDENTIFIER = "-"            # unnormalized mention, excluded from pairing and masking
 NO_RELATION_LABEL = "None"       # reserved label for unannotated candidate pairs
@@ -58,9 +71,12 @@ def canonical_pair(id_a: str, id_b: str) -> tuple[str, str]:
     return (id_a, id_b) if id_a <= id_b else (id_b, id_a)
 
 
-@dataclass(frozen=True, slots=True)
-class Mention:
-    """One entity mention: a character span plus its concept annotations."""
+class Mention(NamedTuple):
+    """One entity mention: a character span plus its concept annotations.
+
+    A named tuple (see the module docstring): ``start, end, surface,
+    entity_type, identifiers = mention`` unpacks it.
+    """
 
     start: int
     end: int
@@ -69,9 +85,12 @@ class Mention:
     identifiers: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class RelationAnnotation:
-    """A typed, novelty-labeled relation between two concept identifiers."""
+class RelationAnnotation(NamedTuple):
+    """A typed, novelty-labeled relation between two concept identifiers.
+
+    A named tuple (see the module docstring), unpacked as ``id_a, id_b,
+    relation_type, novelty``.
+    """
 
     id_a: str
     id_b: str
@@ -110,46 +129,41 @@ class Document:
         if _breaks(self.title, tab=False) or _breaks(self.abstract, tab=False):
             raise CorpusError("title/abstract must be single lines", pmid=pmid)
         text = self.full_text
+        length = len(text)
         boundary = len(self.title)  # index of the separator space
         prev = (-1, -1)
-        for m in self.mentions:
-            if not (0 <= m.start < m.end <= len(text)):
+        for start, end, surface, _, identifiers in self.mentions:
+            if not (0 <= start < end <= length):
                 raise CorpusError(
-                    f"mention offsets [{m.start},{m.end}) out of range for text of length {len(text)}",
+                    f"mention offsets [{start},{end}) out of range for text of length {length}", pmid=pmid
+                )
+            if text[start:end] != surface:
+                raise CorpusError(
+                    f"mention surface {surface!r} does not match text {text[start:end]!r} at [{start},{end})",
                     pmid=pmid,
                 )
-            if text[m.start:m.end] != m.surface:
-                raise CorpusError(
-                    f"mention surface {m.surface!r} does not match text "
-                    f"{text[m.start:m.end]!r} at [{m.start},{m.end})",
-                    pmid=pmid,
-                )
-            if m.start <= boundary < m.end:
-                raise CorpusError(
-                    f"mention [{m.start},{m.end}) crosses the title/abstract boundary",
-                    pmid=pmid,
-                )
-            if "\t" in m.surface:  # a span of the text, which holds no line break
-                raise CorpusError(f"mention surface {m.surface!r} at [{m.start},{m.end}) holds a tab", pmid=pmid)
-            if m.surface.isspace():  # the tokenizer aligns every mention to a token
-                raise CorpusError(
-                    f"mention surface {m.surface!r} at [{m.start},{m.end}) holds only whitespace", pmid=pmid
-                )
-            if not m.identifiers or any(not i for i in m.identifiers):
-                raise CorpusError(f"mention at [{m.start},{m.end}) has an empty identifier", pmid=pmid)
+            if start <= boundary < end:
+                raise CorpusError(f"mention [{start},{end}) crosses the title/abstract boundary", pmid=pmid)
+            if "\t" in surface:  # a span of the text, which holds no line break
+                raise CorpusError(f"mention surface {surface!r} at [{start},{end}) holds a tab", pmid=pmid)
+            if surface.isspace():  # the tokenizer aligns every mention to a token
+                raise CorpusError(f"mention surface {surface!r} at [{start},{end}) holds only whitespace", pmid=pmid)
+            if not identifiers or not all(identifiers):
+                raise CorpusError(f"mention at [{start},{end}) has an empty identifier", pmid=pmid)
             # The parser sorts by (start, end); any other order would not read back.
-            if (m.start, m.end) < prev:
+            span = (start, end)
+            if span < prev:
                 raise CorpusError("mentions not sorted by (start, end) offsets", pmid=pmid)
-            prev = (m.start, m.end)
+            prev = span
         # Each distinct value once: documents repeat types and identifiers.
         for entity_type in {m.entity_type for m in self.mentions}:
             if _breaks(entity_type):
                 raise CorpusError(f"entity type {entity_type!r} holds a tab or line break", pmid=pmid)
-        identifiers = self.mention_identifiers()
-        for i in identifiers:
+        known = self.mention_identifiers()
+        for i in known:
             if _breaks(i) or "," in i or i != i.strip():
                 raise CorpusError(f"identifier {i!r} holds a tab, line break or comma, or surrounding space", pmid=pmid)
-        check_relations(pmid, self.relations, identifiers, "relation")
+        check_relations(pmid, self.relations, known, "relation")
 
     def mention_identifiers(self) -> set[str]:
         """Every identifier attached to any mention, including the null one."""
@@ -160,9 +174,12 @@ class Document:
         return sorted(i for i in self.mention_identifiers() if i != NULL_IDENTIFIER)
 
 
-@dataclass(frozen=True, slots=True)
-class PairCandidate:
-    """One unordered identifier pair, labeled from gold relations when present."""
+class PairCandidate(NamedTuple):
+    """One unordered identifier pair, labeled from gold relations when present.
+
+    A named tuple (see the module docstring), so an unlabeled pair equals
+    ``(src_id, tgt_id, NO_RELATION_LABEL, NO_NOVELTY_LABEL)``.
+    """
 
     src_id: str
     tgt_id: str
@@ -283,7 +300,7 @@ def _parse_block(lines: list[str], first: int, stop: int) -> Document:
                 pmid, i + 1,
             )
 
-    mentions.sort(key=attrgetter("start", "end"))
+    mentions.sort(key=itemgetter(0, 1))  # (start, end); equal spans keep their line order
     return Document(pmid, title, abstract, tuple(mentions), tuple(relations))
 
 

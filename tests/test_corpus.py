@@ -20,6 +20,7 @@ from entrex.corpus import (
     candidate_pairs,
     canonical_pair,
     parse_pubtator,
+    validate_predictions,
     write_pubtator,
 )
 from entrex import synthetic
@@ -358,7 +359,7 @@ def test_write_rejects_a_repeated_pmid(predicted):
 def _with_mention(doc, title=None, **changes):
     """``doc`` with its first mention changed and no relations, which could
     otherwise fail on a changed identifier first."""
-    first = dataclasses.replace(doc.mentions[0], **changes)
+    first = doc.mentions[0]._replace(**changes)
     return dataclasses.replace(
         doc, title=title or doc.title, mentions=(first,) + doc.mentions[1:], relations=()
     )
@@ -487,7 +488,8 @@ def test_random_documents_satisfy_mention_invariant():
 
 def test_parser_shares_its_strings_and_records_carry_no_dict():
     """Equal identifiers, types and labels of a parsed corpus are one object,
-    and its records are slotted, so a long corpus holds each value once."""
+    and its records are named tuples with no ``__dict__``, so a long corpus
+    holds each value once."""
     docs = parse_pubtator(write_pubtator(random_corpus(np.random.default_rng(4), 20, max_identifiers=12)))
     values = [v for d in docs for m in d.mentions for v in (m.entity_type, *m.identifiers)]
     values += [v for d in docs for r in d.relations for v in (r.id_a, r.id_b, r.relation_type, r.novelty)]
@@ -498,3 +500,138 @@ def test_parser_shares_its_strings_and_records_carry_no_dict():
     records += [p for d in docs for p in candidate_pairs(d)]
     assert {type(r) for r in records} == {Mention, RelationAnnotation, PairCandidate}
     assert not any(hasattr(r, "__dict__") for r in records)
+
+
+# Two faults per document: the error names the first fault in rule order.
+_TEXT = ("A B.", "C binds D.")  # full text "A B. C binds D.", length 15; the title ends at 4
+_TAB_TEXT = ("A\tB.", "C binds D.")
+
+
+@pytest.mark.parametrize(
+    "texts, mentions, message",
+    [
+        pytest.param(
+            _TEXT, [Mention(5, 600, "Q", "Chemical", ("C1",))],
+            "mention offsets [5,600) out of range for text of length 15", id="range-before-surface",
+        ),
+        pytest.param(
+            _TEXT, [Mention(2, 6, "X", "Chemical", ("C1",))],
+            "mention surface 'X' does not match text 'B. C' at [2,6)", id="surface-before-boundary",
+        ),
+        pytest.param(
+            _TAB_TEXT, [Mention(0, 6, "A\tB. C", "Chemical", ("C1",))],
+            "mention [0,6) crosses the title/abstract boundary", id="boundary-before-tab",
+        ),
+        pytest.param(
+            _TAB_TEXT, [Mention(1, 2, "\t", "Chemical", ("C1",))],
+            "mention surface '\\t' at [1,2) holds a tab", id="tab-before-whitespace",
+        ),
+        pytest.param(
+            _TEXT, [Mention(6, 7, " ", "Chemical", ("",))],
+            "mention surface ' ' at [6,7) holds only whitespace", id="whitespace-before-empty-identifier",
+        ),
+        pytest.param(
+            _TEXT, [Mention(13, 14, "D", "Gene", ("G1",)), Mention(5, 6, "C", "Chemical", ("",))],
+            "mention at [5,6) has an empty identifier", id="empty-identifier-before-sort-order",
+        ),
+        pytest.param(
+            _TEXT, [Mention(13, 14, "D", "Ge\tne", ("G1",)), Mention(5, 6, "C", "Chemical", ("C1",))],
+            "mentions not sorted by (start, end) offsets", id="sort-order-before-entity-type",
+        ),
+    ],
+)
+def test_mention_rules_report_the_first_fault_in_rule_order(texts, mentions, message):
+    title, abstract = texts
+    with pytest.raises(CorpusError) as exc:
+        Document("42", title, abstract, tuple(mentions), (RelationAnnotation("C1", "G1", "None", "Maybe"),))
+    assert str(exc.value) == f"PMID 42: {message}"
+
+
+_R = RelationAnnotation
+
+
+@pytest.mark.parametrize(
+    "relations, message",
+    [
+        pytest.param(
+            [_R("C1", "G1", "Bi\tnd", "Novel"), _R("C1", "G2", "None", "No")],
+            "{what} type 'None' is reserved for unrelated pairs", id="reserved-before-label-break",
+        ),
+        pytest.param(
+            [_R("C1", "G1", "Bind", "Maybe"), _R("C1", "G2", "Bi\tnd", "No")],
+            "{what} type 'Bi\\tnd' holds a tab or line break", id="label-break-before-novelty",
+        ),
+        pytest.param(
+            [_R("C1", "C1", "Bind", "No"), _R("C1", "G1", "Bind", "Maybe")],
+            "unknown novelty label 'Maybe'", id="novelty-before-self-relation",
+        ),
+        pytest.param(
+            [_R("C1", "C1", "Bind", "No"), _R("C1", "C1", "Bind", "Novel")],
+            "self-relation on identifier 'C1'", id="self-relation-before-duplicate",
+        ),
+        pytest.param(
+            [_R("C1", "G1", "Bind", "No"), _R("G1", "C1", "Bind", "No"), _R("C1", "-", "Bind", "No")],
+            "duplicate {what}s on pair ('C1', 'G1')", id="duplicate-before-null-endpoint",
+        ),
+        pytest.param(
+            [_R("G1", "-", "Bind", "No")],  # no mention carries '-', so it is also unknown
+            "{what} endpoint is the null identifier '-'", id="null-before-unknown-endpoint",
+        ),
+        pytest.param(
+            [_R("C1", "Z9", "Bind", "No"), _R("G1", "G1", "Bind", "No")],
+            "{what} endpoint 'Z9' has no mention", id="unknown-endpoint-before-a-later-self-relation",
+        ),
+    ],
+)
+def test_relation_rules_report_the_first_fault_in_rule_order(relations, message):
+    """Gold relations and predictions pass the same rules in the same order."""
+    doc = parse_pubtator(THREE_IDS_BLOCK)[0]
+    attempts = {
+        "relation": lambda: dataclasses.replace(doc, relations=tuple(relations)),
+        "predicted relation": lambda: validate_predictions([doc], {"42": relations}),
+    }
+    for what, attempt in attempts.items():
+        with pytest.raises(CorpusError) as exc:
+            attempt()
+        assert str(exc.value) == "PMID 42: " + message.format(what=what)
+
+
+def test_mention_rules_run_before_relation_rules():
+    doc = parse_pubtator(SIMPLE_BLOCK)[0]
+    faulty = Mention(5, 6, "C", "Chemical", ("",))
+    with pytest.raises(CorpusError) as exc:
+        dataclasses.replace(doc, mentions=(faulty, *doc.mentions[1:]), relations=(_R("C1", "C1", "None", "Maybe"),))
+    assert str(exc.value) == "PMID 42: mention at [5,6) has an empty identifier"
+
+
+RECORDS = [
+    Mention(5, 6, "C", "Chemical", ("C1",)),
+    RelationAnnotation("C1", "G1", "Bind", "Novel"),
+    PairCandidate("C1", "G1"),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    for name in type(record).__annotations__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_compare_and_hash_by_fields(record):
+    fields = [getattr(record, name) for name in type(record).__annotations__]
+    same = type(record)(*fields)
+    assert same == record and hash(same) == hash(record) and same is not record
+    changed = type(record)(*fields[:-1], fields[-1] + ("x",) if isinstance(fields[-1], tuple) else fields[-1] + "x")
+    assert changed != record
+
+
+def test_records_are_named_tuples():
+    """Records index, unpack and compare as tuples of their fields."""
+    mention, relation, pair = RECORDS
+    start, end, surface, entity_type, identifiers = mention
+    assert (start, end, surface, entity_type, identifiers) == (5, 6, "C", "Chemical", ("C1",))
+    assert relation == ("C1", "G1", "Bind", "Novel") and relation[2] == "Bind"
+    assert pair == ("C1", "G1", "None", "NoneClass")
+    assert mention._replace(end=7) == Mention(5, 7, "C", "Chemical", ("C1",))
