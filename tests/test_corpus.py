@@ -541,6 +541,7 @@ _TAB_TEXT = ("A\tB.", "C binds D.")
     ],
 )
 def test_mention_rules_report_the_first_fault_in_rule_order(texts, mentions, message):
+    """The faulty relation shows that the mention rules also run first."""
     title, abstract = texts
     with pytest.raises(CorpusError) as exc:
         Document("42", title, abstract, tuple(mentions), (RelationAnnotation("C1", "G1", "None", "Maybe"),))
@@ -594,14 +595,6 @@ def test_relation_rules_report_the_first_fault_in_rule_order(relations, message)
         with pytest.raises(CorpusError) as exc:
             attempt()
         assert str(exc.value) == "PMID 42: " + message.format(what=what)
-
-
-def test_mention_rules_run_before_relation_rules():
-    doc = parse_pubtator(SIMPLE_BLOCK)[0]
-    faulty = Mention(5, 6, "C", "Chemical", ("",))
-    with pytest.raises(CorpusError) as exc:
-        dataclasses.replace(doc, mentions=(faulty, *doc.mentions[1:]), relations=(_R("C1", "C1", "None", "Maybe"),))
-    assert str(exc.value) == "PMID 42: mention at [5,6) has an empty identifier"
 
 
 RECORDS = [
