@@ -7,8 +7,8 @@ returns the medians and quartiles of each side, the candidate's wins
 (pairs it is strictly better in; a tie counts for neither side), the
 per-seed ratios candidate / baseline with their median and IQR, and the
 verdict.  The verdict holds when the median gap, in the better direction,
-is above the baseline's IQR and the candidate wins at least ``min_wins``
-pairs: 9 of 10 for a benchmark claim, 8 of 10 for the ablation's arms.
+is above the baseline's IQR and the candidate wins at least
+:data:`MIN_WINS` pairs, the benchmark's 9 of 10.
 
 Quartiles are ``statistics.quantiles(values, n=4)`` with the exclusive
 method, not numpy's default linear interpolation; the IQR is the third
@@ -22,7 +22,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-DIRECTIONS = ("lower", "higher")
+MIN_WINS = 9  # of 10 pairs: the benchmark's rule for a claimed gain
 
 
 def _quartiles(values: Sequence[float]) -> tuple[float, float]:
@@ -44,7 +44,6 @@ class Comparison:
     ratios: tuple[float, ...]  # candidate / baseline, in seed order
     ratio_median: float
     ratio_quartiles: tuple[float, float]
-    min_wins: int
 
     @property
     def pairs(self) -> int:
@@ -67,31 +66,19 @@ class Comparison:
         return gap if self.better == "lower" else -gap
 
     @property
-    def change(self) -> float:
-        """The candidate's median over the baseline's, minus one."""
-        return self.candidate_median / self.baseline_median - 1
-
-    @property
     def met(self) -> bool:
         """The verdict: the gap is above the baseline's IQR, with enough wins."""
-        return self.gap > self.baseline_iqr and self.wins >= self.min_wins
-
-    def within(self, bound: float) -> bool:
-        """True unless the candidate's median is worse than the baseline's
-        by more than ``bound``, a fraction of the baseline's median."""
-        return self.change <= bound if self.better == "lower" else -self.change <= bound
+        return self.gap > self.baseline_iqr and self.wins >= MIN_WINS
 
 
-def compare(
-    baseline: Mapping[int, float], candidate: Mapping[int, float], better: str, min_wins: int
-) -> Comparison:
+def compare(baseline: Mapping[int, float], candidate: Mapping[int, float], better: str) -> Comparison:
     """Compare per-seed values of a candidate against a baseline's.
 
     Both sides must hold the same seeds: a seed run on one side only is
     an incomplete pair, and raises :class:`ValueError`.
     """
-    if better not in DIRECTIONS:
-        raise ValueError(f"better must be one of {DIRECTIONS}, not {better!r}")
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
     if baseline.keys() != candidate.keys():
         unpaired = sorted(baseline.keys() ^ candidate.keys())
         raise ValueError(f"seeds {unpaired} have a run on one side only")
@@ -111,5 +98,4 @@ def compare(
         ratios=ratios,
         ratio_median=statistics.median(ratios),
         ratio_quartiles=_quartiles(ratios),
-        min_wins=min_wins,
     )
