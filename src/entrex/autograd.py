@@ -6,7 +6,7 @@ backward closure plus parent links on the output tensor.  Calling
 accumulating gradients into every parameter (leaf) that the loss depends
 on.  The tape is rebuilt on each forward pass; tensors and tapes are
 single-threaded.  An inference forward records no tape, so the model may
-run some of its ops on its worker thread (``model._RowWorker``).
+run some of its ops on the process's worker thread (``worker._RowWorker``).
 
 ``backward()`` consumes the tape as it walks it: once a node's closure has
 run, the node holds no gradient, parents or closure, so each activation

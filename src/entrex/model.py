@@ -23,26 +23,21 @@ arrays, but the weights are read as constants, so no tape is recorded
 and every intermediate is freed as soon as it is consumed.
 
 A long inference forward (at least 128 rows) runs every block but the
-last as two row halves, the second on one daemon worker thread, so that
-prediction on long documents uses a second CPU while BLAS runs on one
-(see ``encode`` for the rule and its break-even).  The halves depend
-only on the sequence length, never on the CPU count, so neither do the
-outputs; in float32 at the default sizes they are the training forward's
-bits.  With more than one BLAS thread the two halves compete for the
-CPUs with BLAS's own threads; the benchmark pins one.
+last as two row halves, the second on the process's worker thread, which
+Adam shares (``worker``; ``encode`` has the rule).  The halves depend
+only on the sequence length, so the outputs do not depend on the CPU
+count; in float32 at the default sizes they are the training forward's
+bits.  More BLAS threads would compete with the halves; the benchmark pins one.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autograd as ag
+from . import autograd as ag, worker
 from .autograd import Tensor, parameter
 from .masking import MaskedInstance
 from .tokenizer import MAX_LEN, PAD_ID, Vocabulary
@@ -104,65 +99,6 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 # An inference forward of at least this many rows runs its non-last blocks as two row halves (``encode``).
 _SPLIT_ROWS = 128
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _serve(tasks: queue.SimpleQueue) -> None:
-    """The worker's loop: run each task under its caller's error state and reply with its result or exception."""
-    while True:
-        fn, err, reply = tasks.get()
-        try:
-            with np.errstate(**err):
-                out = True, fn()
-        except BaseException as e:  # anything, so that the caller always gets a reply
-            out = False, e
-        reply.put(out)
-        del fn, reply, out  # hold no activations while idle
-
-
-class _RowWorker:
-    """One daemon thread that runs the second row half of an inference block.
-
-    ``run(top, bottom)`` calls ``top`` on the calling thread while the
-    worker calls ``bottom``, and returns both results.  One caller uses
-    the worker at a time: a caller that finds it busy, and a process with
-    one CPU, call both inline, which gives the same results.  The thread
-    starts on first use, and again in a child process after ``fork``.  An
-    exception from either half is raised only once both have finished, and
-    the worker serves the next call.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pid: int | None = None
-        self._tasks: queue.SimpleQueue | None = None
-
-    def run(self, top, bottom):
-        if _cpu_count() < 2 or not self._lock.acquire(blocking=False):
-            return top(), bottom()
-        try:
-            if self._pid != os.getpid():
-                self._tasks = queue.SimpleQueue()
-                threading.Thread(target=_serve, args=(self._tasks,), name="entrex-rows", daemon=True).start()
-                self._pid = os.getpid()
-            reply = queue.SimpleQueue()
-            self._tasks.put((bottom, np.geterr(), reply))
-            try:
-                first = top()
-            finally:
-                ok, second = reply.get()
-            if not ok:
-                raise second
-            return first, second
-        finally:
-            self._lock.release()
-
-
-_WORKER = _RowWorker()  # one per process: it stands for the second CPU, which every model shares
 
 
 class RelationModel:
@@ -320,7 +256,7 @@ class RelationModel:
                 Tensor(x.data[start:stop]), Tensor(q.data[:, start:stop]), kt, v, p, i, 0.0, None
             ).data
 
-        return Tensor(np.concatenate(_WORKER.run(rows(0, n // 2), rows(n // 2, n))))
+        return Tensor(np.concatenate(worker._WORKER.run(rows(0, n // 2), rows(n // 2, n))))
 
     def _attention_at(self, xq: Tensor, xn: Tensor, p: dict[str, Tensor], i: int) -> Tensor:
         """Attention from the r query rows ``xq`` over the n rows of ``xn``: [r, d].
@@ -378,7 +314,7 @@ class RelationModel:
         no tape, so the result has no parents and cannot be differentiated.
         An inference forward of at least ``_SPLIT_ROWS`` = 128 rows runs
         every block but the last as two row halves, the second on the
-        model's worker thread (``_RowWorker``).  The keys and values of all
+        process's worker thread (``worker``).  The keys and values of all
         n rows are projected once; each half then runs attention from its
         own query rows, the output projection, residual, ``ln2`` and FFN.
         That adds 15 op calls per block and a hand-over to the worker, so

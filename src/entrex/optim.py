@@ -1,12 +1,14 @@
-"""Adam optimizer over named parameter tensors.
+"""Adam over named parameter tensors, in one flat buffer updated in tiles on up to two CPUs.
 
 An ``AdamState`` serves one view of one dtype: the names it was first
-stepped with.  It updates by segments: the parameters of at most one
-dimension share one flat buffer the state owns and one pass of the
-update, and each matrix is a segment of its own.  A vector's ``.data`` is
-a view into that buffer, which every step writes, so copy it before
-keeping it.  New values go in place, as ``RelationModel.load_state``
-writes them; a replaced ``.data`` raises.
+stepped with.  That step copies every parameter of the view into one flat
+buffer the state owns, beside two flat moments, and points each ``.data``
+at its slice; every step writes there, so copy ``.data`` before keeping
+it.  New values go in place, as ``load_state`` writes them; a replaced
+``.data`` raises.  A step walks the buffer in tiles of ``_TILE`` elements;
+with two CPUs, a view of at least two whole tiles updates the second half
+of them on the process's worker thread (``worker._WORKER``).  The update is
+elementwise, so the bits do not depend on the tiles or the thread.
 """
 
 from __future__ import annotations
@@ -16,29 +18,29 @@ from typing import Mapping
 
 import numpy as np
 
+from . import worker
 from .autograd import Tensor
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator's guard
+_TILE = 2**16  # elements per tile: six float32 tiles fit one core's 2 MiB L2
 
 
 @dataclass
 class AdamState:
-    """The learning rate, Adam's one hyperparameter (required, finite, positive), plus the moment buffers.
+    """The learning rate, Adam's one hyperparameter (required, finite, positive), plus the flat buffers.
 
-    Only ``lr`` is set by the caller.  ``first_moment`` and
-    ``second_moment`` are keyed by parameter name; a vector's moments are
-    views into its segment's buffers.
+    Only ``lr`` is set by the caller.  ``first_moment`` and ``second_moment``
+    are keyed by parameter name, each a view into a flat buffer of the view's one dtype.
     """
 
     lr: float
     step_count: int = field(default=0, init=False)
     first_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
-    # The array each parameter's .data must be; a matrix's is None until its first update.
-    _slots: dict[str, np.ndarray | None] = field(default_factory=dict, init=False, repr=False)
-    # The vectors' segment: parameter, moment and gathered-gradient buffers, then the names in their order.
-    _vectors: tuple = field(default=(), init=False, repr=False)
-    _matrices: list[str] = field(default_factory=list, init=False, repr=False)
+    # The array each parameter's .data must be, in the buffer's order.
+    _slots: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    # The flat parameter and moment buffers, then each tile's start, stop and (slot index, start, stop) pieces.
+    _flat: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -46,17 +48,17 @@ class AdamState:
 
 
 def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
-    """One bias-corrected Adam update; zeroes gradients afterwards.
+    """One bias-corrected Adam update of the state's flat buffer, tile by tile; zeroes gradients afterwards.
 
     Every parameter must carry a gradient, and ``params`` must be the view
-    ``state`` was first stepped with: the same names, every vector of one
-    dtype, and each ``.data`` the array the state placed there; any other
-    call raises before anything changes.  On its first update a parameter
-    is copied into a buffer the state owns and ``.data`` points there, a
-    vector's into the one buffer all vectors share; every later step
-    writes into those buffers, so copy ``p.data`` before keeping it.  New
-    values between steps go in place, as ``load_state`` writes them.
+    ``state`` was first stepped with: the same names, all of one dtype, and
+    each ``.data`` the array the state placed there.  An empty view and any
+    other call raise before anything changes.  A view of at least ``2 *
+    _TILE`` elements on two CPUs updates half its tiles on the worker thread
+    unless it is busy; the bits are the same either way.
     """
+    if not params:
+        raise ValueError("an empty parameter view: adam_step has nothing to update")
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
         raise ValueError(f"parameters without gradients: {missing}")
@@ -67,54 +69,51 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
             f"names differ from the view this AdamState serves: new {sorted(params.keys() - state._slots.keys())}, "
             f"absent {sorted(state._slots.keys() - params.keys())}"
         )
-    replaced = [name for name, slot in state._slots.items() if slot is not None and params[name].data is not slot]
+    replaced = [name for name, slot in state._slots.items() if params[name].data is not slot]
     if replaced:
         raise ValueError(f"parameters whose .data is not the array this AdamState placed: {replaced}")
     state.step_count += 1
-    t = state.step_count
-    correction1 = 1.0 - _BETA1**t
-    correction2 = 1.0 - _BETA2**t
-    if state._vectors:
-        data, m, v, gathered, names = state._vectors
-        g = np.concatenate([params[name].grad for name in names], axis=None, out=gathered)
-        _update(data, g, m, v, state.lr, correction1, correction2)
-        for name in names:
-            params[name].grad = None
-    for name in state._matrices:
-        p = params[name]
-        if state._slots[name] is None:
-            # Allocated here, not in _bind, so each takes memory the gradients updated before it freed.
-            state.first_moment[name] = np.zeros_like(p.data)
-            state.second_moment[name] = np.zeros_like(p.data)
-            p.data = state._slots[name] = p.data.copy()
-        _update(p.data, p.grad, state.first_moment[name], state.second_moment[name], state.lr, correction1, correction2)
+    c1, c2 = 1.0 - _BETA1**state.step_count, 1.0 - _BETA2**state.step_count
+    grads = [params[name].grad.reshape(-1) for name in state._slots]
+    data, m, v, tiles = state._flat
+
+    def update(tiles):
+        gathered = np.empty(_TILE, dtype=data.dtype)  # owned by the thread that runs these tiles
+        for start, stop, pieces in tiles:
+            g = np.concatenate([grads[k][lo:hi] for k, lo, hi in pieces], out=gathered[: stop - start])
+            _update(data[start:stop], g, m[start:stop], v[start:stop], state.lr, c1, c2)
+
+    if data.size < 2 * _TILE:
+        update(tiles)
+    else:
+        half = (len(tiles) + 1) // 2
+        worker._WORKER.run(lambda: update(tiles[:half]), lambda: update(tiles[half:]))
+    for p in params.values():
         p.grad = None
 
 
 def _bind(params: Mapping[str, Tensor], state: AdamState) -> None:
-    """Give ``state`` the names of ``params`` and the vectors' segment; raises first if the vectors' dtypes differ."""
-    vectors = [name for name, p in params.items() if p.data.ndim <= 1]
-    if len({params[name].data.dtype for name in vectors}) > 1:
-        raise ValueError(f"vector parameters of more than one dtype: { {n: str(params[n].data.dtype) for n in vectors} }")
-    state._slots = dict.fromkeys(params)
-    state._matrices = [name for name in params if name not in vectors]
-    if not vectors:
-        return
-    data = np.concatenate([params[name].data for name in vectors], axis=None)
+    """Copy ``params`` into the state's flat buffer and plan its tiles; raises first if their dtypes differ."""
+    dtypes = {name: str(p.data.dtype) for name, p in params.items()}
+    if len(set(dtypes.values())) > 1:
+        raise ValueError(f"parameters of more than one dtype: {dtypes}")
+    data = np.concatenate([p.data for p in params.values()], axis=None)
     m, v = np.zeros_like(data), np.zeros_like(data)
-    state._vectors = (data, m, v, np.empty_like(data), vectors)
-    start = 0
-    for name in vectors:
-        p = params[name]
+    tiles, start = [(a, min(a + _TILE, data.size), []) for a in range(0, data.size, _TILE)], 0
+    for k, (name, p) in enumerate(params.items()):
         shape, stop = p.data.shape, start + p.data.size
         p.data = state._slots[name] = data[start:stop].reshape(shape)
         state.first_moment[name] = m[start:stop].reshape(shape)
         state.second_moment[name] = v[start:stop].reshape(shape)
+        for a, b, pieces in tiles:
+            if start < b and stop > a:  # the tile holds part of this parameter
+                pieces.append((k, max(start, a) - start, min(stop, b) - start))
         start = stop
+    state._flat = data, m, v, tiles
 
 
 def _update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float, c1: float, c2: float) -> None:
-    """The textbook update of one segment in place, one operation at a time in its order:
+    """The textbook update of one tile in place, one operation at a time in its order:
     m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g;  p = p - lr*(m/c1) / (sqrt(v/c2) + eps)
     """
     step = np.multiply(g, 1.0 - _BETA1, out=np.empty_like(m))

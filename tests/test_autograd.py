@@ -1,15 +1,20 @@
 """Gradient checks for every differentiable op, plus Adam trace tests."""
 
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entrex import autograd as ag
+from entrex import worker as worker_module
 from entrex.autograd import Tensor, parameter
-from entrex.optim import _BETA1, _BETA2, _EPS, AdamState, adam_step
+from entrex.optim import _BETA1, _BETA2, _EPS, _TILE, AdamState, adam_step
 from gradcheck import check_gradients, finite_difference_grad, max_rel_error, mean_all, project, tape_nodes
 
 
@@ -415,6 +420,28 @@ class TestAdam:
         with pytest.raises(ValueError, match="p"):
             adam_step({"p": p}, AdamState(lr=0.1))
 
+    def test_an_empty_view_is_rejected(self):
+        state = AdamState(lr=0.1)
+        with pytest.raises(ValueError, match="an empty parameter view"):
+            adam_step({}, state)
+        assert state.step_count == 0 and not state.first_moment
+
+    @pytest.mark.parametrize("size, halves", [(2 * _TILE - 1, 0), (2 * _TILE, 1)])
+    def test_only_a_view_of_two_whole_tiles_asks_for_the_worker(self, size, halves, monkeypatch):
+        class Recording:
+            calls = 0
+
+            def run(self, top, bottom):
+                self.calls += 1
+                return top(), bottom()
+
+        monkeypatch.setattr(worker_module, "_WORKER", recording := Recording())
+        params = {"a": parameter(np.ones(size - 3, dtype=np.float32)), "b": parameter(np.ones(3, dtype=np.float32))}
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        adam_step(params, AdamState(lr=0.1))
+        assert recording.calls == halves
+
     def test_gradients_zeroed_after_step(self):
         p = parameter(np.array([0.0]))
         p.grad = np.array([1.0])
@@ -469,7 +496,7 @@ class TestAdam:
 
 
 class TestAdamSegments:
-    """Every vector shares one buffer and one update; each matrix is a segment of its own."""
+    """Every parameter, matrices included, is a segment of one flat buffer, and its moments of two more."""
 
     @staticmethod
     def _params(rng):
@@ -483,17 +510,18 @@ class TestAdamSegments:
             p.grad = grads[name].copy()
         return grads
 
-    def test_vectors_share_one_buffer_and_moments_are_views_of_their_slots(self):
+    def test_every_parameter_and_moment_is_a_view_of_one_buffer(self):
         rng = _rng(40)
         params = self._params(rng)
         state = AdamState(lr=0.1)
         grads = self._fill_grads(params, rng)
         adam_step(params, state)
         buffer = params["a"].data.base
-        assert buffer is not None and not np.shares_memory(params["w"].data, buffer)
-        for name in ("a", "b", "s"):
+        assert buffer is not None
+        np.testing.assert_array_equal(buffer, np.concatenate([p.data for p in params.values()], axis=None))
+        for name, p in params.items():
             m, v = state.first_moment[name], state.second_moment[name]
-            assert params[name].data.base is buffer and np.shares_memory(params[name].data, buffer)
+            assert p.data.base is buffer
             assert m.base is state.first_moment["a"].base is not None
             assert v.base is state.second_moment["a"].base is not None
             # From zero moments, the first step leaves (1 - beta1) g and (1 - beta2) g g in each name's slot.
@@ -532,12 +560,13 @@ class TestAdamSegments:
             (lambda params: params.pop("w"), ["w"]),
             (lambda params: params.update(x=parameter(np.zeros(2))), ["x"]),
             (lambda params: setattr(params["b"], "data", params["b"].data.astype(np.float32)), ["b"]),
+            (lambda params: setattr(params["w"], "data", params["w"].data.astype(np.float32)), ["w"]),
             (lambda params: setattr(params["w"], "data", np.zeros((3, 2))), ["w"]),
             (lambda params: setattr(params["a"], "data", params["a"].data.copy()), ["a"]),
             (lambda params: setattr(params["w"], "data", params["w"].data.copy()), ["w"]),
         ],
         ids=[
-            "absent name", "new name", "vector of another dtype", "matrix of another shape",
+            "absent name", "new name", "vector of another dtype", "matrix of another dtype", "matrix of another shape",
             "replaced vector", "replaced matrix of the same shape",
         ],
     )
@@ -563,17 +592,40 @@ class TestAdamSegments:
             np.testing.assert_array_equal(state.first_moment[name], m, strict=True)
             np.testing.assert_array_equal(state.second_moment[name], v, strict=True)
 
+    def _assert_refused_before_binding(self, params, names):
+        data = {name: p.data for name, p in params.items()}
+        state = AdamState(lr=0.1)
+        with pytest.raises(ValueError, match="parameters of more than one dtype") as error:
+            adam_step(params, state)
+        dtypes = {name: str(p.data.dtype) for name, p in params.items()}
+        assert str(dtypes) in str(error.value) and all(dtypes[name] == "float32" for name in names)
+        assert state.step_count == 0 and not state.first_moment and not state.second_moment
+        assert all(p.data is data[name] and p.grad is not None for name, p in params.items())
+
     def test_vectors_of_two_dtypes_are_rejected_by_name_before_any_change(self):
         rng = _rng(43)
         params = self._params(rng)
         params["b"].data = params["b"].data.astype(np.float32)
         self._fill_grads(params, rng)
-        data = {name: p.data for name, p in params.items()}
-        state = AdamState(lr=0.1)
-        with pytest.raises(ValueError, match=r"'a': 'float64', 'b': 'float32', 's': 'float64'"):
-            adam_step(params, state)
-        assert state.step_count == 0 and not state.first_moment and not state.second_moment
-        assert all(p.data is data[name] and p.grad is not None for name, p in params.items())
+        self._assert_refused_before_binding(params, ["b"])
+
+    def test_a_matrix_of_another_dtype_is_rejected_by_name_before_any_change(self):
+        rng = _rng(44)
+        params = self._params(rng)
+        params["w"].data = params["w"].data.astype(np.float32)
+        self._fill_grads(params, rng)
+        self._assert_refused_before_binding(params, ["w"])
+
+
+@pytest.mark.parametrize("module", ["entrex.optim", "entrex.autograd"])
+def test_the_optimizer_and_autograd_load_neither_the_model_nor_the_pipeline(module):
+    """In a fresh interpreter: Adam reaches the worker thread through its own module, never the model's."""
+    code = f"import json, sys; sys.path.insert(0, 'src'); import {module}; print(json.dumps(sorted(sys.modules)))"
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert module in loaded and "entrex.model" not in loaded and "entrex.pipeline" not in loaded
 
 
 def test_finite_difference_helper_self_check():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from entrex import autograd as ag
 from entrex import model as model_module
+from entrex import worker as worker_module
 from entrex.autograd import Tensor
 from entrex.masking import MaskedInstance, MaskedTarget
 from entrex.model import (
@@ -482,7 +483,7 @@ def test_long_inference_forward_equals_training_forward(n, monkeypatch):
     training = [model.encode(ids, [0], train=True), *model.finetune_forward(ids, train=True)]
     threaded = [model.encode(ids, [0]), *model.finetune_forward(ids)]
     inline = _InlineHalves()
-    monkeypatch.setattr(model_module, "_WORKER", inline)
+    monkeypatch.setattr(worker_module, "_WORKER", inline)
     inlined = [model.encode(ids, [0]), *model.finetune_forward(ids)]
     assert inline.calls == (2 if n >= 128 else 0)  # one non-last block per forward
     for train_out, threaded_out, inline_out in zip(training, threaded, inlined, strict=True):
@@ -521,14 +522,14 @@ def test_row_halves_give_the_same_bits_on_the_worker_and_inline(
             *model.finetune_forward(ids, train=train),
         ]
 
-    saved = model_module._SPLIT_ROWS, model_module._WORKER
+    saved = model_module._SPLIT_ROWS, worker_module._WORKER
     model_module._SPLIT_ROWS = 4  # hypothesis refuses the function-scoped monkeypatch fixture
     try:
         threaded = forwards()
-        model_module._WORKER = inline = _InlineHalves()
+        worker_module._WORKER = inline = _InlineHalves()
         inlined = forwards()
     finally:
-        model_module._SPLIT_ROWS, model_module._WORKER = saved
+        model_module._SPLIT_ROWS, worker_module._WORKER = saved
     assert inline.calls == 3 * (n_layers - 1)
     tol = 1e-5 if precision == "float32" else 1e-12
     for threaded_out, inline_out, train_out in zip(threaded, inlined, forwards(train=True), strict=True):

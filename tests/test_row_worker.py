@@ -1,4 +1,4 @@
-"""The model's row-half worker thread under concurrency, failure and fork.
+"""The process's worker thread, shared by row halves and Adam, under concurrency, failure and fork.
 
 Each case runs in a fresh interpreter with a timeout, so that a deadlock
 fails the test instead of hanging the suite, and so that the thread count
@@ -16,13 +16,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # A default-size model and three long sequences; ``forward(ids)`` is its
 # relation and novelty logits as bytes, ``serial`` their values with the
-# halves run inline on this thread.
+# halves run inline on this thread.  ``adam_bits()`` is two Adam steps
+# over a copy of the model's parameters (eight tiles) with fixed
+# gradients, as bytes, and ``adam_serial`` its value inline.
 _PRELUDE = """
 import os, sys, threading
 sys.path.insert(0, "src")
 import numpy as np
-from entrex import autograd as ag, model as model_module
+from entrex import autograd as ag, worker as worker_module
 from entrex.model import EncoderConfig, RelationModel
+from entrex.optim import _TILE, AdamState, adam_step
 from entrex.tokenizer import Vocabulary, tag_tokens_for_types
 
 vocab = Vocabulary(
@@ -41,14 +44,26 @@ def forward(ids):
     return tuple(t.data.tobytes() for t in mdl.finetune_forward(ids))
 
 
+def adam_bits():
+    params = {name: ag.parameter(p.data.copy()) for name, p in mdl.params.items()}
+    assert sum(p.data.size for p in params.values()) >= 2 * _TILE
+    state, rng = AdamState(lr=1e-3), np.random.default_rng(5)
+    for _ in range(2):
+        for p in params.values():
+            p.grad = rng.standard_normal(p.data.shape, dtype=np.float32)
+        adam_step(params, state)
+    return b"".join(p.data.tobytes() for p in params.values())
+
+
 class Inline:
     def run(self, top, bottom):
         return top(), bottom()
 
 
-worker, model_module._WORKER = model_module._WORKER, Inline()
+worker, worker_module._WORKER = worker_module._WORKER, Inline()
 serial = [forward(ids) for ids in seqs]
-model_module._WORKER = worker
+adam_serial = adam_bits()
+worker_module._WORKER = worker
 threads = threading.active_count()
 """
 
@@ -62,13 +77,16 @@ def _run(body: str) -> None:
 
 
 def test_concurrent_callers_get_the_serial_bits():
-    """More callers than CPUs forwarding at once, with the interpreter switching threads often:
-    one at a time has the worker, the others run their halves inline, and all get the serial bits."""
+    """More callers than CPUs forwarding and stepping Adam at once, with the interpreter switching threads
+    often: one at a time has the worker, the others run their halves inline, and all get the serial bits."""
     _run("""
 results = {}
 
+def call(k, j):
+    return adam_bits() if j % 4 == k else forward(seqs[(k + j) % len(seqs)])
+
 def caller(k):
-    results[k] = [forward(seqs[(k + j) % len(seqs)]) for j in range(20)]
+    results[k] = [call(k, j) for j in range(20)]
 
 switch = sys.getswitchinterval()
 sys.setswitchinterval(1e-5)
@@ -82,7 +100,7 @@ finally:
     sys.setswitchinterval(switch)
 assert not any(t.is_alive() for t in callers)
 for k in range(4):
-    assert results[k] == [serial[(k + j) % len(seqs)] for j in range(20)], k
+    assert results[k] == [adam_serial if j % 4 == k else serial[(k + j) % len(seqs)] for j in range(20)], k
 """)
 
 
@@ -126,7 +144,7 @@ for rows, other in ((150, 151), (151, 150)):
         raise AssertionError("no exception")
     finally:
         ag.gelu = gelu
-    if model_module._cpu_count() > 1:
+    if worker_module._cpu_count() > 1:
         assert where == [rows == 150], where  # the top half on the caller, the bottom on the worker
     assert [forward(ids) for ids in seqs] == serial
 """)
@@ -148,7 +166,7 @@ with np.errstate(over="raise", under="warn", invalid="ignore", divide="call"):
     caller = np.geterr()
     forward(seqs[0])
 assert [state for _, state in states] == [caller] * 5, states  # two halves, the last block, two heads
-if model_module._cpu_count() > 1:
+if worker_module._cpu_count() > 1:
     assert [main for main, _ in states] == [True, False, True, True, True]
 """)
 
@@ -159,8 +177,8 @@ def test_a_forked_child_starts_its_own_worker():
 assert forward(seqs[0]) == serial[0]  # the parent's worker is running
 pid = os.fork()
 if pid == 0:
-    ok = [forward(ids) for ids in seqs] == serial
-    ok &= threading.active_count() == 1 + (model_module._cpu_count() > 1)  # this thread and a new worker
+    ok = [forward(ids) for ids in seqs] == serial and adam_bits() == adam_serial
+    ok &= threading.active_count() == 1 + (worker_module._cpu_count() > 1)  # this thread and a new worker
     os._exit(0 if ok else 1)
 import signal, time
 
@@ -175,26 +193,25 @@ assert os.waitstatus_to_exitcode(reaped[1]) == 0
 """)
 
 
-def test_training_and_short_forwards_start_no_thread():
-    """Neither a tiny pipeline run nor one unit of the benchmark's train workload
-    splits a block; a process with one CPU runs its halves inline, with the same bits."""
+def test_small_views_and_one_cpu_start_no_thread():
+    """A tiny pipeline run, whose views are under two tiles and whose sequences are short, starts no
+    thread.  A default-size Adam step starts the one worker with two CPUs and none with one, and a long
+    forward likewise; the bits are the same either way."""
     _run("""
-sys.path.insert(0, "perfbench")
-import workloads
-from entrex import corpus, pipeline, synthetic, tokenizer
+from entrex import pipeline, synthetic, tokenizer
 
 train = synthetic.fixture_train_corpus()
 pipeline.run(train, tokenizer.build_vocab(train), EncoderConfig(d_model=16, n_layers=1, n_heads=2, ffn_dim=32),
              1e-3, 1, 1, seed=1)
-unit = workloads.Train(tiny=True)
-docs = unit.make_input(1)
-unit.unit(unit.setup(corpus.write_pubtator(docs), 1))
 assert threading.active_count() == threads
 
-cpu_count, model_module._cpu_count = model_module._cpu_count, lambda: 1
+cpu_count, worker_module._cpu_count = worker_module._cpu_count, lambda: 1
+assert adam_bits() == adam_serial
 assert [forward(ids) for ids in seqs] == serial
 assert threading.active_count() == threads
-model_module._cpu_count = cpu_count
+worker_module._cpu_count = cpu_count
+assert adam_bits() == adam_serial
+assert threading.active_count() == threads + (worker_module._cpu_count() > 1)
 assert [forward(ids) for ids in seqs] == serial
-assert threading.active_count() == threads + (model_module._cpu_count() > 1)
+assert threading.active_count() == threads + (worker_module._cpu_count() > 1)
 """)
