@@ -30,7 +30,8 @@ class AdamState:
     """The learning rate, Adam's one hyperparameter (required, finite, positive), plus the flat buffers.
 
     Only ``lr`` is set by the caller.  ``first_moment`` and ``second_moment``
-    are keyed by parameter name, each a view into a flat buffer of the view's one dtype.
+    map each name to a view into a flat buffer of the view's one dtype.
+    ``adam_step`` updates in tiles, on two CPUs from two whole tiles, to the same bits.
     """
 
     lr: float
