@@ -16,6 +16,8 @@ PMID plus the offending offsets or identifier pair.  Predicted relations,
 which come from outside a document, pass the same relation rules in
 :func:`validate_predictions`.  Neither kind may carry the reserved
 ``NO_RELATION_LABEL``, which marks a candidate pair without a relation.
+:func:`check_relations` returns the relations it checks keyed by their
+:func:`canonical_pair`, and :func:`validate_predictions` that dict by PMID.
 
 The parser interns every annotation field it stores (``sys.intern``), so
 a long corpus holds each repeated type, identifier and label once.
@@ -67,7 +69,7 @@ class CorpusError(ValueError):
 
 
 def canonical_pair(id_a: str, id_b: str) -> tuple[str, str]:
-    """Unordered identifier pair stored in lexicographic order."""
+    """Unordered identifier pair stored in lexicographic order: a relation's key."""
     return (id_a, id_b) if id_a <= id_b else (id_b, id_a)
 
 
@@ -86,19 +88,12 @@ class Mention(NamedTuple):
 
 
 class RelationAnnotation(NamedTuple):
-    """A typed, novelty-labeled relation between two concept identifiers.
-
-    A named tuple (see the module docstring), unpacked as ``id_a, id_b,
-    relation_type, novelty``.
-    """
+    """A typed, novelty-labeled relation between two concept identifiers."""
 
     id_a: str
     id_b: str
     relation_type: str
     novelty: str
-
-    def pair_key(self) -> tuple[str, str]:
-        return canonical_pair(self.id_a, self.id_b)
 
 
 @dataclass(frozen=True)
@@ -195,7 +190,7 @@ def _breaks(value: str, tab: bool = True) -> bool:
 
 def check_relations(
     pmid: str, relations: Collection[RelationAnnotation], known: Container[str], what: str
-) -> None:
+) -> dict[tuple[str, str], RelationAnnotation]:
     """The relation rules, for one document's relations (gold or predicted).
 
     No self-relation, a relation type that is not the reserved
@@ -205,6 +200,7 @@ def check_relations(
     ``what`` names the relations in the error, e.g. ``"predicted relation"``.
     The label rules run first, once per distinct label, so with several
     faulty relations the error names a faulty label before a faulty pair.
+    Returns the relations keyed by :func:`canonical_pair`, in their order.
     """
     types = {r.relation_type for r in relations}
     if NO_RELATION_LABEL in types:
@@ -215,19 +211,20 @@ def check_relations(
     for novelty in sorted({r.novelty for r in relations}):
         if novelty not in NOVELTY_CLASSES:
             raise CorpusError(f"unknown novelty label {novelty!r}", pmid=pmid)
-    seen_pairs: set[tuple[str, str]] = set()
+    keyed: dict[tuple[str, str], RelationAnnotation] = {}
     for r in relations:
         key = canonical_pair(r.id_a, r.id_b)
         if key[0] == key[1]:
             raise CorpusError(f"self-relation on identifier {r.id_a!r}", pmid=pmid)
-        if key in seen_pairs:
+        if key in keyed:
             raise CorpusError(f"duplicate {what}s on pair {key}", pmid=pmid)
-        seen_pairs.add(key)
+        keyed[key] = r
         for endpoint in key:
             if endpoint == NULL_IDENTIFIER:
                 raise CorpusError(f"{what} endpoint is the null identifier {NULL_IDENTIFIER!r}", pmid=pmid)
             if endpoint not in known:
                 raise CorpusError(f"{what} endpoint {endpoint!r} has no mention", pmid=pmid)
+    return keyed
 
 
 def _documents_by_pmid(docs: Iterable[Document]) -> dict[str, Document]:
@@ -242,19 +239,21 @@ def _documents_by_pmid(docs: Iterable[Document]) -> dict[str, Document]:
 
 def validate_predictions(
     docs: Iterable[Document], predicted: Mapping[str, Collection[RelationAnnotation]]
-) -> None:
+) -> dict[str, dict[tuple[str, str], RelationAnnotation]]:
     """Check predicted relations against the documents they annotate.
 
     No two ``docs`` share a PMID, every PMID in ``predicted`` names one of
     them, and each document's predictions pass :func:`check_relations`,
-    the rules a :class:`Document` applies to its own relations.
+    the rules a :class:`Document` applies to its own relations.  Returns
+    what :func:`check_relations` returns for each PMID in ``predicted``.
     """
     by_pmid = _documents_by_pmid(docs)
+    keyed = {}
     for pmid, relations in predicted.items():
-        doc = by_pmid.get(pmid)
-        if doc is None:
+        if pmid not in by_pmid:
             raise CorpusError("prediction for unknown document", pmid=pmid)
-        check_relations(pmid, relations, doc.mention_identifiers(), "predicted relation")
+        keyed[pmid] = check_relations(pmid, relations, by_pmid[pmid].mention_identifiers(), "predicted relation")
+    return keyed
 
 
 def _parse_int_offset(field: str, what: str, pmid: str, line_no: int) -> int:
@@ -332,7 +331,7 @@ def candidate_pairs(doc: Document) -> list[PairCandidate]:
     lexicographic over canonical pairs.
     """
     identifiers = doc.groundable_identifiers()
-    annotated = {r.pair_key(): r for r in doc.relations}
+    annotated = {canonical_pair(r.id_a, r.id_b): r for r in doc.relations}
     out: list[PairCandidate] = []
     for src_id, tgt_id in itertools.combinations(identifiers, 2):
         rel = annotated.get((src_id, tgt_id))

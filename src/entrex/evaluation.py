@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Mapping, Sequence
 
-from .corpus import Document, RelationAnnotation, validate_predictions
+from .corpus import Document, RelationAnnotation, canonical_pair, validate_predictions
 
 
 class MatchLevel(Enum):
@@ -87,20 +87,21 @@ def evaluate(
     :func:`~entrex.corpus.validate_predictions` checks the predictions with
     the relation rules each gold :class:`~entrex.corpus.Document` passed, so
     PMIDs are unique and a document holds at most one relation per pair,
-    gold or predicted.  That makes one dict from ``(pmid, pair_key)`` to the
-    gold relation exact: a prediction can match only the relation it finds
-    there, and a level's TP counts the matches that agree on the fields the
-    level names.  FP is predictions minus TP, and FN is gold minus TP.
+    gold or predicted, and returns them keyed by their ``canonical_pair``.
+    So one dict from ``(pmid, canonical_pair)`` to the gold relation is
+    exact: a prediction can match only the relation it finds there, and a
+    level's TP counts the matches that agree on the fields the level names.
+    FP is predictions minus TP, and FN is gold minus TP.
     """
-    validate_predictions(gold_corpus, predictions)
-    gold = {(doc.pmid, rel.pair_key()): rel for doc in gold_corpus for rel in doc.relations}
+    predicted = validate_predictions(gold_corpus, predictions)
+    gold = {(doc.pmid, canonical_pair(r.id_a, r.id_b)): r for doc in gold_corpus for r in doc.relations}
     gold_by_type = Counter(rel.relation_type for rel in gold.values())
     pred_by_type, tp_by_type = Counter(), Counter()
     tp_pair = tp_type = tp_novelty = tp_both = 0
-    for pmid, rels in predictions.items():
-        for rel in rels:
+    for pmid, keyed in predicted.items():
+        for pair, rel in keyed.items():
             pred_by_type[rel.relation_type] += 1
-            match = gold.get((pmid, rel.pair_key()))
+            match = gold.get((pmid, pair))
             if match is not None:
                 same_type, same_novelty = match.relation_type == rel.relation_type, match.novelty == rel.novelty
                 tp_pair += 1

@@ -86,8 +86,7 @@ def _draw_selection(identifiers: Sequence[str], threshold: float, rng: np.random
 
 def _document_rng(epoch_seed: int, pmid: str) -> np.random.Generator:
     pmid_hash = int.from_bytes(hashlib.sha256(pmid.encode("utf-8")).digest()[:8], "little")
-    seq = np.random.SeedSequence([epoch_seed, pmid_hash])
-    return np.random.Generator(np.random.PCG64(seq))
+    return np.random.default_rng([epoch_seed, pmid_hash])
 
 
 def build_pretraining_instances(

@@ -81,6 +81,86 @@ def test_benchmark_outputs_are_pinned():
             assert fingerprint == pin, (name, seed)
 
 
+# Every traced call count and counter of one seed-1 train unit, set-up
+# included, as a traced round of perfbench/run.py takes them.  The counts do
+# not depend on timing or on the worker thread, whose half of Adam calls no
+# traced function.  A change that adds or removes a call by design edits it
+# here.  predict_long is left out: half of each long forward runs on the
+# worker thread, where the tracer counts without a lock.
+PINNED_TRAIN_TRACE = {
+    "autograd.add.calls": 2744,
+    "autograd.mul.calls": 0,
+    "autograd.scale.calls": 224,
+    "autograd.matmul.calls": 2772,
+    "autograd.embedding_lookup.calls": 420,
+    "autograd.softmax.calls": 280,
+    "autograd.layer_norm.calls": 700,
+    "autograd.gelu.calls": 504,
+    "autograd.mean.calls": 0,
+    "autograd.dropout.calls": 560,
+    "autograd.reshape.calls": 2044,
+    "autograd.transpose.calls": 1260,
+    "autograd.slice_rows.calls": 140,
+    "autograd.cross_entropy.calls": 280,
+    "autograd.add_n.calls": 0,
+    "autograd.Tensor.backward.calls": 140,
+    "optim.adam_step.calls": 140,
+    "model.encode.calls": 0,
+    "model.pretrain_loss.calls": 28,
+    "model.finetune_forward.calls": 112,
+    "model.finetune_loss.calls": 112,
+    "model.load_state.calls": 3,
+    "tokenizer.insert_pair_tags.calls": 112,
+    "tokenizer.tokenize_document.calls": 140,
+    "tokenizer.build_vocab.calls": 1,
+    "masking.build_pretraining_instances.calls": 1,
+    "corpus.parse_pubtator.calls": 1,
+    "corpus.candidate_pairs.calls": 112,
+    "corpus.write_pubtator.calls": 0,
+    "evaluation.evaluate.calls": 0,
+    "model.encode.tokens": 0,
+    "tokenizer.insert_pair_tags.truncated": 0,
+    "tokenizer.insert_pair_tags.untagged": 0,
+    "tokenizer.build_vocab.tokens": 1063,
+    "masking.build_pretraining_instances.instances": 28,
+    "masking.build_pretraining_instances.targets": 114,
+    "masking.build_pretraining_instances.skipped": 0,
+    "corpus.parse_pubtator.docs": 112,
+    "corpus.candidate_pairs.pairs": 6384,
+    "autograd.ops_per_step": 85.2,
+}
+
+_TRACE_SCRIPT = """
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+from tracing import Tracer
+from entrex import corpus
+
+workload = workloads.WORKLOADS["train"](tiny=False)
+text = corpus.write_pubtator(workload.make_input(1))
+tracer = Tracer()
+tracer.install()
+try:
+    result = workload.unit(workload.setup(text, 1))
+finally:
+    tracer.uninstall()
+print(json.dumps({k: v for k, v in tracer.metrics(result.model_ops).items() if not k.endswith(".s")}))
+"""
+
+
+def test_train_trace_counts_are_pinned():
+    """A traced seed-1 train unit, in a fresh interpreter with one BLAS
+    thread, makes the pinned number of calls to every span and counts the
+    pinned figures."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == PINNED_TRAIN_TRACE
+
+
 def test_tracer_lists_every_autograd_op():
     """An op the tracer does not wrap would be missing from
     ``autograd.ops_per_step``.  An op is a public function of

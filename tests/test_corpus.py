@@ -19,6 +19,7 @@ from entrex.corpus import (
     RelationAnnotation,
     candidate_pairs,
     canonical_pair,
+    check_relations,
     parse_pubtator,
     validate_predictions,
     write_pubtator,
@@ -185,7 +186,7 @@ def test_candidates_match_bruteforce_enumeration():
                for c in candidate_pairs(doc)}
 
         ids = sorted({i for m in doc.mentions for i in m.identifiers if i != "-"})
-        gold = {r.pair_key(): r for r in doc.relations}
+        gold = {canonical_pair(r.id_a, r.id_b): r for r in doc.relations}
         expected = set()
         for a in ids:
             for b in ids:
@@ -434,7 +435,7 @@ def _document_fields(draw):
         "title": title,
         "abstract": abstract,
         "mentions": tuple(mentions),
-        "relations": tuple(draw(st.lists(relation, max_size=2, unique_by=lambda r: r.pair_key()))),
+        "relations": tuple(draw(st.lists(relation, max_size=2, unique_by=lambda r: canonical_pair(r.id_a, r.id_b)))),
     }
 
 
@@ -595,6 +596,26 @@ def test_relation_rules_report_the_first_fault_in_rule_order(relations, message)
         with pytest.raises(CorpusError) as exc:
             attempt()
         assert str(exc.value) == "PMID 42: " + message.format(what=what)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_check_relations_keys_every_relation_by_its_canonical_pair_in_order(seed):
+    for doc in random_corpus(np.random.default_rng(seed), 10, max_identifiers=8):
+        relations = [r._replace(id_a=r.id_b, id_b=r.id_a) if i % 2 else r for i, r in enumerate(doc.relations)]
+        keyed = check_relations(doc.pmid, relations, doc.mention_identifiers(), "relation")
+        assert list(keyed.items()) == [(canonical_pair(r.id_a, r.id_b), r) for r in relations]
+
+
+def test_validate_predictions_keys_a_relation_written_backwards_by_its_canonical_pair():
+    doc = parse_pubtator(THREE_IDS_BLOCK)[0]
+    backwards = RelationAnnotation("G1", "C1", "Bind", "No")
+    assert validate_predictions([doc], {"42": [backwards]}) == {"42": {("C1", "G1"): backwards}}
+
+
+def test_validate_predictions_returns_a_pmid_without_predictions_as_an_empty_dict():
+    docs = parse_pubtator(THREE_IDS_BLOCK + "\n" + SIMPLE_BLOCK.replace("42", "43"))
+    assert validate_predictions(docs, {"42": (), "43": []}) == {"42": {}, "43": {}}
+    assert validate_predictions(docs, {}) == {}
 
 
 RECORDS = [

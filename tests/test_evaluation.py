@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from entrex.corpus import CorpusError, Document, Mention, RelationAnnotation, candidate_pairs
+from entrex.corpus import (
+    CorpusError,
+    Document,
+    Mention,
+    RelationAnnotation,
+    candidate_pairs,
+    canonical_pair,
+    validate_predictions,
+)
 from entrex.evaluation import MatchLevel, evaluate, prf
 from entrex.synthetic import random_corpus
 
@@ -171,7 +179,7 @@ def test_counts_match_reference_on_random_predictions(seed):
     types = gold_types + ["Unseen"]
     predictions = {}
     for doc in docs:
-        gold = {r.pair_key(): r for r in doc.relations}
+        gold = {canonical_pair(r.id_a, r.id_b): r for r in doc.relations}
         rels = []
         for pair in candidate_pairs(doc):
             if rng.random() < 0.5:
@@ -223,3 +231,29 @@ def test_a_pair_gold_has_in_another_document_only_is_a_miss_and_a_false_alarm():
     report = evaluate(docs, {"A": _rels(("Y1", "X1", "Bind", "No"))})
     assert {lvl: (m.tp, m.fp, m.fn) for lvl, m in report.levels.items()} == dict.fromkeys(MatchLevel, (0, 1, 1))
     assert {t: (m.tp, m.fp, m.fn) for t, m in report.per_relation_type.items()} == {"Bind": (0, 1, 1)}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_accepted_relation_is_keyed_to_a_candidate_carrying_its_labels(seed):
+    """Scoring pairs by rank pools over ``candidate_pairs``: each relation that
+    ``validate_predictions`` accepts, in either orientation, is keyed to one of
+    its document's candidates, and a gold relation's candidate carries its
+    type and novelty."""
+    rng = np.random.default_rng(seed)
+    docs = random_corpus(rng, 10, max_identifiers=9)
+    candidates = {d.pmid: {(c.src_id, c.tgt_id): c for c in candidate_pairs(d)} for d in docs}
+    predictions = {
+        pmid: [
+            RelationAnnotation(*((a, b) if rng.random() < 0.5 else (b, a)), "Bind", "No")
+            for a, b in pairs if rng.random() < 0.5
+        ]
+        for pmid, pairs in candidates.items()
+    }
+    for pmid, keyed in validate_predictions(docs, predictions).items():
+        assert keyed.keys() <= candidates[pmid].keys() and len(keyed) == len(predictions[pmid])
+    gold = validate_predictions(docs, {d.pmid: d.relations for d in docs})
+    assert sum(map(len, gold.values())) > 0
+    for pmid, keyed in gold.items():
+        for pair, rel in keyed.items():
+            candidate = candidates[pmid][pair]
+            assert (candidate.relation_label, candidate.novelty_label) == (rel.relation_type, rel.novelty)
