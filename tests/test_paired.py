@@ -15,7 +15,13 @@ BOUNDS = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").re
 # differ from the rounded exact IQR by one unit in the last place.  A record
 # written with entrex.paired rounds the exact IQR, and must match it.
 LAST_PLACE = 1e-4 + 1e-12
-IQR_SLACK = {"BENCH_29.json": LAST_PLACE, "BENCH_30.json": LAST_PLACE, "BENCH_31.json": 0.0, "BENCH_32.json": 0.0}
+IQR_SLACK = {
+    "BENCH_29.json": LAST_PLACE,
+    "BENCH_30.json": LAST_PLACE,
+    "BENCH_31.json": 0.0,
+    "BENCH_32.json": 0.0,
+    "BENCH_33.json": 0.0,
+}
 
 
 def _load(name):
@@ -43,7 +49,7 @@ def _iqr_matches(recorded, exact, name):
     return abs(recorded - round(exact, 4)) <= IQR_SLACK[name]
 
 
-@pytest.mark.parametrize("name", ["BENCH_32.json", "BENCH_31.json", "BENCH_30.json", "BENCH_29.json"])
+@pytest.mark.parametrize("name", ["BENCH_33.json", "BENCH_32.json", "BENCH_31.json", "BENCH_30.json", "BENCH_29.json"])
 def test_summary_blocks_are_recomputed_from_their_runs(name):
     record = _load(name)
     checked = 0
