@@ -31,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -122,7 +123,22 @@ def _consumed(g=None) -> None:
 
 
 def parameter(data) -> Tensor:
-    return Tensor(np.asarray(data), requires_grad=True)
+    """A parameter holding a copy of ``data``: the caller's array is never updated in place."""
+    return Tensor(np.array(data, order="C"), requires_grad=True)
+
+
+def flat_parameters(shapes: Mapping[str, tuple[int, ...]], dtype) -> dict[str, Tensor]:
+    """Parameters named and shaped as ``shapes``, in its order, as consecutive views of one zeroed flat buffer.
+
+    Each ``.data`` is a view whose ``.base`` is that buffer, so any run of
+    consecutive names is one contiguous run of it (``optim`` steps such a run).
+    """
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    buffer, params, start = np.zeros(sum(sizes), dtype=dtype), {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        params[name] = Tensor(buffer[start : start + size].reshape(shape), requires_grad=True)
+        start += size
+    return params
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

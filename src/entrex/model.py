@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autograd as ag, worker
-from .autograd import Tensor, parameter
+from .autograd import Tensor
 from .masking import MaskedInstance
 from .tokenizer import MAX_LEN, PAD_ID, Vocabulary
 
@@ -100,32 +100,47 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # An inference forward of at least this many rows runs its non-last blocks as two row halves (``encode``).
 _SPLIT_ROWS = 128
 
+# The heads only one stage trains: each stage's view leaves the other stage's heads out.
+_PRETRAIN_HEADS = ("head.identifier", "head.type")
+_FINETUNE_HEADS = ("head.relation", "head.novelty")
+
+
+def _stage_rank(name: str) -> int:
+    """The parameter's place in the model's buffer: pretraining heads, then the encoder, then fine-tuning heads.
+
+    So each stage's view is one contiguous run, which ``adam_step`` updates where it lies.
+    """
+    return 0 if name.startswith(_PRETRAIN_HEADS) else 2 if name.startswith(_FINETUNE_HEADS) else 1
+
 
 class RelationModel:
-    """Encoder plus all four heads, sized by the ``vocab`` it keeps, with parameters in one named dict."""
+    """Encoder plus all four heads, sized by the ``vocab`` it keeps, with parameters in one named dict.
+
+    The model owns its parameters: each ``.data`` is a view of one flat
+    buffer, and ``params`` iterates in the buffer's order (``_stage_rank``).
+    """
 
     def __init__(self, cfg: EncoderConfig, vocab: Vocabulary, rng: np.random.Generator):
         self.cfg = cfg
         self.vocab = vocab
-        self.params: dict[str, Tensor] = {}
-        self._init_params(rng)
+        self.params = self._init_params(rng)
 
-    def _init_params(self, rng: np.random.Generator) -> None:
+    def _init_params(self, rng: np.random.Generator) -> dict[str, Tensor]:
+        """The parameters laid out in one flat buffer (``_stage_rank``), filled in the draw order below."""
         d, f = self.cfg.d_model, self.cfg.ffn_dim
-        dt = self.cfg.dtype
         v = self.vocab
         n_id, n_ty, n_rel, n_nov = map(len, (v.identifier_labels, v.type_labels, v.relation_labels, v.novelty_labels))
 
         def normal(*shape):
-            return parameter((rng.normal(0.0, 0.02, shape)).astype(dt))
+            return shape, lambda: rng.normal(0.0, 0.02, shape)
 
         def zeros(*shape):
-            return parameter(np.zeros(shape, dtype=dt))
+            return shape, None  # the buffer starts at zero
 
         def ones(*shape):
-            return parameter(np.ones(shape, dtype=dt))
+            return shape, lambda: 1.0
 
-        p = self.params
+        p = {}  # name: (shape, fill)
         p["emb.token"] = normal(len(v), d)
         p["emb.pos"] = normal(self.cfg.max_len, d)
         for i in range(self.cfg.n_layers):
@@ -147,26 +162,25 @@ class RelationModel:
         p["head.relation.w2"], p["head.relation.b2"] = normal(d, n_rel), zeros(n_rel)
         p["head.novelty.w1"], p["head.novelty.b1"] = normal(d, d), zeros(d)
         p["head.novelty.w2"], p["head.novelty.b2"] = normal(d, n_nov), zeros(n_nov)
+        params = ag.flat_parameters({name: p[name][0] for name in sorted(p, key=_stage_rank)}, self.cfg.dtype)
+        for name, (_, fill) in p.items():
+            if fill is not None:
+                params[name].data[...] = fill()
+        return params
 
     # --- parameter views -------------------------------------------------
 
     def pretrain_parameters(self) -> dict[str, Tensor]:
-        """All but the fine-tuning heads, so pretraining leaves them at their initial weights.  A head added
-        for fine-tuning must join this exclusion, or ``adam_step`` raises: that head has no gradient."""
-        return {
-            k: v
-            for k, v in self.params.items()
-            if not k.startswith(("head.relation", "head.novelty"))
-        }
+        """All but the fine-tuning heads, so pretraining leaves them at their initial weights: one run of the
+        buffer.  A head added for fine-tuning must join ``_FINETUNE_HEADS``, at the buffer's end, or
+        ``adam_step`` raises: that head has no gradient, or breaks the run."""
+        return {k: v for k, v in self.params.items() if not k.startswith(_FINETUNE_HEADS)}
 
     def finetune_parameters(self) -> dict[str, Tensor]:
-        """All but the pretraining heads, so fine-tuning leaves them as pretraining did.  A head added
-        for pretraining must join this exclusion, or ``adam_step`` raises: that head has no gradient."""
-        return {
-            k: v
-            for k, v in self.params.items()
-            if not k.startswith(("head.identifier", "head.type"))
-        }
+        """All but the pretraining heads, so fine-tuning leaves them as pretraining did: one run of the
+        buffer.  A head added for pretraining must join ``_PRETRAIN_HEADS``, at the buffer's start, or
+        ``adam_step`` raises: that head has no gradient, or breaks the run."""
+        return {k: v for k, v in self.params.items() if not k.startswith(_PRETRAIN_HEADS)}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}

@@ -398,6 +398,15 @@ class TestTapeMechanics:
         assert (results[0][1] == results[1][1]).all()
 
 
+def test_flat_parameters_are_consecutive_views_of_one_zeroed_buffer():
+    params = ag.flat_parameters({"w": (2, 3), "s": (), "b": (4,)}, np.float32)
+    buffer = params["w"].data.base
+    assert buffer.dtype == np.float32 and buffer.shape == (11,) and not buffer.any()
+    for (name, p), (start, shape) in zip(params.items(), [(0, (2, 3)), (6, ()), (7, (4,))], strict=True):
+        assert p.requires_grad and p.data.base is buffer and p.data.shape == shape, name
+        assert p.data.ctypes.data == buffer[start:].ctypes.data, name
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameter_unchanged(self):
         p = parameter(np.array([1.5, -2.0]))
@@ -436,8 +445,9 @@ class TestAdam:
                 return top(), bottom()
 
         monkeypatch.setattr(worker_module, "_WORKER", recording := Recording())
-        params = {"a": parameter(np.ones(size - 3, dtype=np.float32)), "b": parameter(np.ones(3, dtype=np.float32))}
+        params = ag.flat_parameters({"a": (size - 3,), "b": (3,)}, np.float32)
         for p in params.values():
+            p.data[...] = 1.0
             p.grad = np.ones_like(p.data)
         adam_step(params, AdamState(lr=0.1))
         assert recording.calls == halves
@@ -496,12 +506,15 @@ class TestAdam:
 
 
 class TestAdamSegments:
-    """Every parameter, matrices included, is a segment of one flat buffer, and its moments of two more."""
+    """The parameters are one run of one buffer the caller laid out, stepped where they lie; each moment is
+    a run of one flat buffer the state owns."""
 
     @staticmethod
     def _params(rng):
-        shapes = {"a": (3,), "w": (2, 3), "b": (5,), "s": ()}
-        return {name: parameter(rng.standard_normal(shape)) for name, shape in shapes.items()}
+        params = ag.flat_parameters({"a": (3,), "w": (2, 3), "b": (5,), "s": ()}, np.float64)
+        for p in params.values():
+            p.data[...] = rng.standard_normal(p.data.shape)
+        return params
 
     @staticmethod
     def _fill_grads(params, rng):
@@ -515,11 +528,13 @@ class TestAdamSegments:
         params = self._params(rng)
         state = AdamState(lr=0.1)
         grads = self._fill_grads(params, rng)
+        buffer, slots = params["a"].data.base, {name: p.data for name, p in params.items()}
+        before = buffer.copy()
         adam_step(params, state)
-        buffer = params["a"].data.base
-        assert buffer is not None
+        assert buffer is not None and (buffer != before).all()
         np.testing.assert_array_equal(buffer, np.concatenate([p.data for p in params.values()], axis=None))
         for name, p in params.items():
+            assert p.data is slots[name]
             m, v = state.first_moment[name], state.second_moment[name]
             assert p.data.base is buffer
             assert m.base is state.first_moment["a"].base is not None
@@ -592,29 +607,36 @@ class TestAdamSegments:
             np.testing.assert_array_equal(state.first_moment[name], m, strict=True)
             np.testing.assert_array_equal(state.second_moment[name], v, strict=True)
 
-    def _assert_refused_before_binding(self, params, names):
-        data = {name: p.data for name, p in params.items()}
-        state = AdamState(lr=0.1)
-        with pytest.raises(ValueError, match="parameters of more than one dtype") as error:
-            adam_step(params, state)
-        dtypes = {name: str(p.data.dtype) for name, p in params.items()}
-        assert str(dtypes) in str(error.value) and all(dtypes[name] == "float32" for name in names)
-        assert state.step_count == 0 and not state.first_moment and not state.second_moment
-        assert all(p.data is data[name] and p.grad is not None for name, p in params.items())
-
-    def test_vectors_of_two_dtypes_are_rejected_by_name_before_any_change(self):
+    @pytest.mark.parametrize(
+        "change, names",
+        [
+            (lambda params: dict(reversed(params.items())), ["b", "w", "a"]),
+            (lambda params: {name: p for name, p in params.items() if name != "w"}, ["b"]),
+            (lambda params: {**params, **ag.flat_parameters({"x": (2,), "y": (4,)}, np.float64)}, ["x", "y"]),
+            (lambda params: {**params, "b": parameter(params["b"].data.astype(np.float32))}, ["b", "s"]),
+            (lambda params: {**params, "w": parameter(params["w"].data.astype(np.float32))}, ["w", "b"]),
+            (lambda params: {**params, "w": Tensor(params["w"].data.T, requires_grad=True)}, ["w"]),
+        ],
+        ids=[
+            "reversed order", "gap", "two buffers", "vector of another dtype", "matrix of another dtype", "transposed",
+        ],
+    )
+    def test_a_view_that_is_not_one_run_is_rejected_by_name_before_any_change(self, change, names):
+        """The first step takes the view's parameters where they lie, so they must be one contiguous run of one
+        buffer in dict order; every parameter that breaks the run is named."""
         rng = _rng(43)
-        params = self._params(rng)
-        params["b"].data = params["b"].data.astype(np.float32)
+        params = change(self._params(rng))
         self._fill_grads(params, rng)
-        self._assert_refused_before_binding(params, ["b"])
-
-    def test_a_matrix_of_another_dtype_is_rejected_by_name_before_any_change(self):
-        rng = _rng(44)
-        params = self._params(rng)
-        params["w"].data = params["w"].data.astype(np.float32)
-        self._fill_grads(params, rng)
-        self._assert_refused_before_binding(params, ["w"])
+        data = {name: p.data for name, p in params.items()}
+        values = {name: a.copy() for name, a in data.items()}
+        state = AdamState(lr=0.1)
+        with pytest.raises(ValueError, match="break the view's one contiguous run of one buffer") as error:
+            adam_step(params, state)
+        assert str(names) in str(error.value)
+        assert state.step_count == 0 and not state.first_moment and not state.second_moment
+        for name, p in params.items():
+            assert p.data is data[name] and p.grad is not None
+            np.testing.assert_array_equal(p.data, values[name], strict=True)
 
 
 @pytest.mark.parametrize("module", ["entrex.optim", "entrex.autograd"])

@@ -5,7 +5,7 @@ import threading
 from itertools import combinations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -33,6 +33,7 @@ def _float_arrays(dtype, lo, hi, max_side=8):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_float_arrays(np.float64, -50, 50), _float_arrays(np.float32, -50, 50)))
+@example(np.array([-1.3459221], dtype=np.float32))  # 1 + tanh(u) = 0.18: 6 ulp of the output, within this bound
 def test_gelu_forward_matches_cube_by_power(x):
     """x*x*x in place of x**3 moves the output by a few ulp of |x|.
 
@@ -48,9 +49,14 @@ def test_gelu_forward_matches_cube_by_power(x):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_float_arrays(np.float32, -1.5, 50))
+@given(_float_arrays(np.float32, -0.671875, 50))
 def test_gelu_float32_without_cancellation_within_few_ulp(x):
-    """Where 1 + tanh(u) does not cancel, float32 outputs agree to a few ulp."""
+    """Where 1 + tanh(u) does not cancel, float32 outputs agree to a few ulp.
+
+    1 + tanh(u) >= 1/2 from x = -0.67472 up; -0.671875 is the float32 bound
+    just above.  A dense float32 grid reads at most 3 ulp there and 2 ulp
+    on [0, 50], but 6 ulp on [-1.5, -0.675], where the sum cancels.
+    """
     np.testing.assert_array_max_ulp(ag.gelu(Tensor(x)).data, _gelu_reference(x), maxulp=4)
 
 
@@ -119,6 +125,14 @@ def test_kernels_bit_identical_to_the_unfused_formulas(kernel, inputs):
         np.testing.assert_array_equal(t.grad, grad_ref, strict=True)
 
 
+def _flat(arrays):
+    """Parameters holding copies of ``arrays``, in order, as one run of one flat buffer."""
+    tensors = ag.flat_parameters({f"p{i}": a.shape for i, a in enumerate(arrays)}, arrays[0].dtype)
+    for t, a in zip(tensors.values(), arrays, strict=True):
+        t.data[...] = a
+    return tensors
+
+
 def _textbook_adam(p, grads, lr):
     """Allocating Adam with the module's constants: a fresh array for every intermediate."""
     m = np.zeros_like(p)
@@ -149,7 +163,7 @@ def _adam_runs(draw):
 @given(_adam_runs())
 def test_adam_step_bit_identical_to_textbook(run):
     params, grads, lr = run
-    tensors = {f"p{i}": parameter(p.copy()) for i, p in enumerate(params)}
+    tensors = _flat(params)
     state = AdamState(lr=lr)
     for step in range(len(grads[0])):
         for i, t in enumerate(tensors.values()):
@@ -177,7 +191,7 @@ def test_adam_over_tiles_gives_the_same_bits_on_the_worker_inline_and_textbook(m
         update(*args)
 
     def stepped():
-        tensors = {f"p{i}": parameter(p.copy()) for i, p in enumerate(params)}
+        tensors = _flat(params)
         state = AdamState(lr=1e-2)
         for step in range(3):
             for i, t in enumerate(tensors.values()):

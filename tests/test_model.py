@@ -96,6 +96,27 @@ def test_model_keeps_the_vocabulary_that_sizes_it():
         assert shapes[bias] == (len(labels),), bias
 
 
+def test_parameters_lie_in_one_buffer_that_each_stage_view_runs_through():
+    """The buffer holds the pretraining heads, the encoder, then the fine-tuning heads, in ``params`` order, so
+    each stage's view is one contiguous run: pretraining's from the buffer's start, fine-tuning's to its end."""
+    model, _ = _tiny_model()
+    buffer = model.params["emb.token"].data.base
+    assert all(p.data.base is buffer for p in model.params.values())
+    np.testing.assert_array_equal(buffer, np.concatenate([p.data for p in model.params.values()], axis=None))
+    parts = [name.split(".")[1] if name.startswith("head.") else "encoder" for name in model.params]
+    assert list(dict.fromkeys(parts)) == ["identifier", "type", "encoder", "relation", "novelty"]
+
+    def offset(p):
+        return (p.data.ctypes.data - buffer.ctypes.data) // buffer.itemsize
+
+    for view, start, stop in (
+        (model.pretrain_parameters(), 0, offset(model.params["head.relation.w1"])),
+        (model.finetune_parameters(), offset(model.params["emb.token"]), buffer.size),
+    ):
+        ends = np.cumsum([start] + [p.data.size for p in view.values()]).tolist()
+        assert [offset(p) for p in view.values()] == ends[:-1] and ends[-1] == stop
+
+
 def test_encode_output_shape():
     model, _ = _tiny_model()
     for n in (1, 5, 16):
@@ -706,7 +727,7 @@ def test_state_snapshot_unchanged_by_adam_steps():
     step()
     assert not np.array_equal(model.params["enc0.ffn.w1"].data, kept["enc0.ffn.w1"])
     arrays = {name: p.data for name, p in model.params.items()}
-    model.load_state(snapshot)  # written into the arrays the AdamState placed, never aliasing the snapshot
+    model.load_state(snapshot)  # written into the model's own arrays, never aliasing the snapshot
     assert all(p.data is arrays[name] for name, p in model.params.items())
     step()
     for name, value in kept.items():

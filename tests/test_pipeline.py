@@ -134,6 +134,25 @@ def test_run_arms_of_one_seed_share_their_heads():
             assert same == name.startswith(("head.relation.", "head.novelty.")), name
 
 
+def test_a_run_steps_the_models_one_buffer_where_it_lies(monkeypatch):
+    """Both stages update the model's parameters in place: after the run, every ``.data`` is still a view of
+    the one buffer the model was built with, and that buffer holds the model's parameters and nothing else."""
+    train = synthetic.fixture_train_corpus()
+    built = []
+
+    def recording(*args):
+        mdl = RelationModel(*args)
+        built.append((mdl, next(iter(mdl.params.values())).data.base))
+        return mdl
+
+    monkeypatch.setattr(pipeline.model, "RelationModel", recording)
+    mdl, pretrain_losses, finetune_losses = pipeline.run(train, tokenizer.build_vocab(train), TINY, 1e-3, 1, 1, 4)
+    [(built_mdl, buffer)] = built
+    assert built_mdl is mdl and pretrain_losses and finetune_losses
+    assert all(p.data.base is buffer for p in mdl.params.values())
+    assert buffer.size == sum(p.data.size for p in mdl.params.values())
+
+
 def test_run_equals_a_run_with_the_benchmarks_transfer(monkeypatch):
     """Reloading the initial weights and then the pretrained encoder before fine-tuning changes nothing.
 

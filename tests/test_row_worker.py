@@ -45,7 +45,9 @@ def forward(ids):
 
 
 def adam_bits():
-    params = {name: ag.parameter(p.data.copy()) for name, p in mdl.params.items()}
+    params = ag.flat_parameters({name: p.data.shape for name, p in mdl.params.items()}, np.float32)
+    for name, p in params.items():
+        p.data[...] = mdl.params[name].data
     assert sum(p.data.size for p in params.values()) >= 2 * _TILE
     state, rng = AdamState(lr=1e-3), np.random.default_rng(5)
     for _ in range(2):
@@ -166,8 +168,8 @@ with np.errstate(over="raise", under="warn", invalid="ignore", divide="call"):
     caller = np.geterr()
     forward(seqs[0])
 assert [state for _, state in states] == [caller] * 5, states  # two halves, the last block, two heads
-if worker_module._cpu_count() > 1:
-    assert [main for main, _ in states] == [True, False, True, True, True]
+if worker_module._cpu_count() > 1:  # the two halves reach gelu in either order
+    assert sorted(main for main, _ in states[:2]) == [False, True] and all(main for main, _ in states[2:]), states
 """)
 
 
