@@ -21,6 +21,7 @@ IQR_SLACK = {
     "BENCH_31.json": 0.0,
     "BENCH_32.json": 0.0,
     "BENCH_33.json": 0.0,
+    "BENCH_34.json": 0.0,
 }
 
 
@@ -49,7 +50,9 @@ def _iqr_matches(recorded, exact, name):
     return abs(recorded - round(exact, 4)) <= IQR_SLACK[name]
 
 
-@pytest.mark.parametrize("name", ["BENCH_33.json", "BENCH_32.json", "BENCH_31.json", "BENCH_30.json", "BENCH_29.json"])
+@pytest.mark.parametrize(
+    "name", ["BENCH_34.json", "BENCH_33.json", "BENCH_32.json", "BENCH_31.json", "BENCH_30.json", "BENCH_29.json"]
+)
 def test_summary_blocks_are_recomputed_from_their_runs(name):
     record = _load(name)
     checked = 0
@@ -82,7 +85,7 @@ def test_summary_blocks_are_recomputed_from_their_runs(name):
     assert checked == 10  # five metrics on each of two workloads
 
 
-@pytest.mark.parametrize("name", ["BENCH_32.json", "BENCH_31.json", "BENCH_30.json"])
+@pytest.mark.parametrize("name", ["BENCH_34.json", "BENCH_32.json", "BENCH_31.json", "BENCH_30.json"])
 def test_a_met_claim_is_recomputed(name):
     record = _load(name)
     claim = record["claim"]
