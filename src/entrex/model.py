@@ -23,11 +23,11 @@ arrays, but the weights are read as constants, so no tape is recorded
 and every intermediate is freed as soon as it is consumed.
 
 A long inference forward (at least 128 rows) runs every block but the
-last as two row halves, the second on the process's worker thread, which
-Adam shares (``worker``; ``encode`` has the rule).  The halves depend
-only on the sequence length, so the outputs do not depend on the CPU
-count; in float32 at the default sizes they are the training forward's
-bits.  More BLAS threads would compete with the halves; the benchmark pins one.
+last as two row halves, the second on the process's worker thread
+(``worker``; ``encode`` has the rule).  The halves depend only on the
+sequence length, so the outputs do not depend on the CPU count; in
+float32 at the default sizes they are the training forward's bits.
+More BLAS threads would compete with the halves; the benchmark pins one.
 """
 
 from __future__ import annotations

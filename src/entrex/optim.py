@@ -1,4 +1,4 @@
-"""Adam over named parameter tensors, stepped in place in tiles on up to two CPUs.
+"""Adam over named parameter tensors, stepped in place in tiles on the calling thread.
 
 The model owns the parameters; an ``AdamState`` owns only its two flat
 moments.  A state serves one view: the names it was first stepped with,
@@ -8,10 +8,9 @@ order (``autograd.flat_parameters`` lays such a buffer out; a lone
 by name before anything changes, and from then on every step writes that
 run in place, so copy ``.data`` before keeping it.  New values go in
 place, as ``load_state`` writes them; a replaced ``.data`` raises.  A step
-walks the run in tiles of ``_TILE`` elements; with two CPUs, a view of at
-least two whole tiles updates the second half of them on the process's
-worker thread (``worker._WORKER``).  The update is elementwise, so the
-bits do not depend on the tiles or the thread.
+walks the run in tiles of ``_TILE`` elements, each small enough that its
+passes stay in one core's L2 cache.  The update is elementwise, so the bits
+do not depend on the tiles.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import worker
 from .autograd import Tensor
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator's guard
@@ -34,8 +32,8 @@ class AdamState:
 
     Only ``lr`` is set by the caller.  ``first_moment`` and ``second_moment``
     map each name to a view into a flat moment buffer laid out as the view's
-    run of parameters.  ``adam_step`` updates in tiles, on two CPUs from two
-    whole tiles, to the same bits.
+    run of parameters.  ``adam_step`` updates it tile by tile on the calling
+    thread, to the bits of one whole pass.
     """
 
     lr: float
@@ -59,9 +57,7 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
     ``state`` was first stepped with: the same names, each ``.data`` still
     the array it was then, and on the first step one contiguous run of one
     buffer in dict order.  An empty view and any other call raise before
-    anything changes.  A view of at least ``2 * _TILE`` elements on two CPUs
-    updates half its tiles on the worker thread unless it is busy; the bits
-    are the same either way.
+    anything changes.
     """
     if not params:
         raise ValueError("an empty parameter view: adam_step has nothing to update")
@@ -82,18 +78,10 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
     c1, c2 = 1.0 - _BETA1**state.step_count, 1.0 - _BETA2**state.step_count
     grads = [params[name].grad.reshape(-1) for name in state._slots]
     data, m, v, tiles = state._flat
-
-    def update(tiles):
-        gathered = np.empty(_TILE, dtype=data.dtype)  # owned by the thread that runs these tiles
-        for start, stop, pieces in tiles:
-            g = np.concatenate([grads[k][lo:hi] for k, lo, hi in pieces], out=gathered[: stop - start])
-            _update(data[start:stop], g, m[start:stop], v[start:stop], state.lr, c1, c2)
-
-    if data.size < 2 * _TILE:
-        update(tiles)
-    else:
-        half = (len(tiles) + 1) // 2
-        worker._WORKER.run(lambda: update(tiles[:half]), lambda: update(tiles[half:]))
+    gathered = np.empty(_TILE, dtype=data.dtype)
+    for start, stop, pieces in tiles:
+        g = np.concatenate([grads[k][lo:hi] for k, lo, hi in pieces], out=gathered[: stop - start])
+        _update(data[start:stop], g, m[start:stop], v[start:stop], state.lr, c1, c2)
     for p in params.values():
         p.grad = None
 

@@ -103,7 +103,7 @@ def predict(mdl: model.RelationModel, docs: Sequence[Document]) -> dict[str, lis
     """The relations decoded over every candidate pair of each document, by PMID.
 
     A pair of 128 or more tagged tokens runs every encoder block but the last as two row halves, one on the
-    worker thread that Adam shares (``RelationModel.encode``); the decoded relations are as with one thread.
+    process's worker thread (``RelationModel.encode``); the decoded relations are as with one thread.
     """
     predicted = {}
     for doc in docs:

@@ -2,9 +2,10 @@
 
 ``_WORKER.run(top, bottom)`` runs ``top`` on the caller and ``bottom`` on
 the worker, or both inline, with the same results, when it is busy or the
-process has one CPU.  Long inference forwards and ``optim.adam_step``
-share it.  It starts on first use and again after ``fork``.  An exception
-from either half is raised once both have finished; the worker lives on.
+process has one CPU.  Its one user is the long inference forward
+(``model.RelationModel.encode`` has the rule).  It starts on first use
+and again after ``fork``.  An exception from either half is raised once
+both have finished; the worker lives on.
 """
 
 import os

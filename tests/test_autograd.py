@@ -435,8 +435,8 @@ class TestAdam:
             adam_step({}, state)
         assert state.step_count == 0 and not state.first_moment
 
-    @pytest.mark.parametrize("size, halves", [(2 * _TILE - 1, 0), (2 * _TILE, 1)])
-    def test_only_a_view_of_two_whole_tiles_asks_for_the_worker(self, size, halves, monkeypatch):
+    @pytest.mark.parametrize("size", [2 * _TILE - 1, 2 * _TILE, 5 * _TILE + 3])
+    def test_no_view_asks_for_the_worker(self, size, monkeypatch):
         class Recording:
             calls = 0
 
@@ -450,7 +450,8 @@ class TestAdam:
             p.data[...] = 1.0
             p.grad = np.ones_like(p.data)
         adam_step(params, AdamState(lr=0.1))
-        assert recording.calls == halves
+        assert recording.calls == 0
+        assert all((p.data < 1.0).all() for p in params.values())  # every tile, the last partial one too
 
     def test_gradients_zeroed_after_step(self):
         p = parameter(np.array([0.0]))
@@ -641,13 +642,14 @@ class TestAdamSegments:
 
 @pytest.mark.parametrize("module", ["entrex.optim", "entrex.autograd"])
 def test_the_optimizer_and_autograd_load_neither_the_model_nor_the_pipeline(module):
-    """In a fresh interpreter: Adam reaches the worker thread through its own module, never the model's."""
+    """In a fresh interpreter: neither module loads the model, the pipeline or the worker thread's module."""
     code = f"import json, sys; sys.path.insert(0, 'src'); import {module}; print(json.dumps(sorted(sys.modules)))"
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert module in loaded and "entrex.model" not in loaded and "entrex.pipeline" not in loaded
+    assert "entrex.worker" not in loaded
 
 
 def test_finite_difference_helper_self_check():

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from entrex import autograd as ag
 from entrex import optim
-from entrex import worker as worker_module
 from entrex.autograd import Tensor, parameter
 from entrex.optim import _BETA1, _BETA2, _EPS, _TILE, AdamState, adam_step
 from gradcheck import check_gradients, project, tape_nodes
@@ -177,9 +176,9 @@ def test_adam_step_bit_identical_to_textbook(run):
         assert (state.second_moment[name] == v).all()
 
 
-def test_adam_over_tiles_gives_the_same_bits_on_the_worker_inline_and_textbook(monkeypatch):
+def test_adam_over_tiles_runs_on_the_calling_thread_and_gives_the_textbook_bits(monkeypatch):
     """A view of about 2.4 tiles, its parameters across the tile edges, stepped 3 times in float32:
-    with the worker, with one CPU (inline) and by the textbook formula, every bit agrees."""
+    every tile's update runs on the calling thread, and every bit agrees with the textbook formula."""
     rng = np.random.default_rng(50)
     shapes = [(300, 257), (_TILE - 5,), (7,), (97, 180), ()]
     params = [rng.standard_normal(s).astype(np.float32) for s in shapes]
@@ -190,26 +189,18 @@ def test_adam_over_tiles_gives_the_same_bits_on_the_worker_inline_and_textbook(m
         on_main.append(threading.current_thread() is threading.main_thread())
         update(*args)
 
-    def stepped():
-        tensors = _flat(params)
-        state = AdamState(lr=1e-2)
-        for step in range(3):
-            for i, t in enumerate(tensors.values()):
-                t.grad = grads[i][step].copy()
-            adam_step(tensors, state)
-        return [(t.data, state.first_moment[name], state.second_moment[name]) for name, t in tensors.items()]
-
     monkeypatch.setattr(optim, "_update", recording_update)
-    threaded = stepped()
-    if worker_module._cpu_count() > 1:
-        assert sorted(on_main) == [False] * 3 + [True] * 6  # per step two tiles on the caller, one on the worker
-    monkeypatch.setattr(worker_module, "_cpu_count", lambda: 1)
-    inline = stepped()
-    for i, ((p, m, v), (p_inline, m_inline, v_inline)) in enumerate(zip(threaded, inline, strict=True)):
-        expected = _textbook_adam(params[i], grads[i], 1e-2)
-        for got, got_inline, want in zip((p, m, v), (p_inline, m_inline, v_inline), expected, strict=True):
-            np.testing.assert_array_equal(got, want, strict=True)
-            np.testing.assert_array_equal(got_inline, want, strict=True)
+    tensors = _flat(params)
+    state = AdamState(lr=1e-2)
+    for step in range(3):
+        for i, t in enumerate(tensors.values()):
+            t.grad = grads[i][step].copy()
+        adam_step(tensors, state)
+    assert on_main == [True] * 9  # three tiles per step
+    for i, (name, t) in enumerate(tensors.items()):
+        got = t.data, state.first_moment[name], state.second_moment[name]
+        for got_one, want in zip(got, _textbook_adam(params[i], grads[i], 1e-2), strict=True):
+            np.testing.assert_array_equal(got_one, want, strict=True)
 
 
 _GRAPH_OPS = ("add", "layer_norm", "reshape", "transpose", "slice_rows", "embedding_lookup")

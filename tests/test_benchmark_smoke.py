@@ -83,10 +83,11 @@ def test_benchmark_outputs_are_pinned():
 
 # Every traced call count and counter of one seed-1 train unit, set-up
 # included, as a traced round of perfbench/run.py takes them.  The counts do
-# not depend on timing or on the worker thread, whose half of Adam calls no
-# traced function.  A change that adds or removes a call by design edits it
-# here.  predict_long is left out: half of each long forward runs on the
-# worker thread, where the tracer counts without a lock.
+# not depend on timing, and the unit runs on one thread: its forwards train,
+# so none splits into row halves, and Adam steps on the calling thread.  A
+# change that adds or removes a call by design edits it here.  predict_long
+# is left out: half of each long forward runs on the worker thread, where the
+# tracer counts without a lock.
 PINNED_TRAIN_TRACE = {
     "autograd.add.calls": 2744,
     "autograd.mul.calls": 0,

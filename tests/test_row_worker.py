@@ -1,4 +1,5 @@
-"""The process's worker thread, shared by row halves and Adam, under concurrency, failure and fork.
+"""The process's worker thread, which runs long inference forwards' second row halves, under concurrency,
+failure and fork.
 
 Each case runs in a fresh interpreter with a timeout, so that a deadlock
 fails the test instead of hanging the suite, and so that the thread count
@@ -16,16 +17,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # A default-size model and three long sequences; ``forward(ids)`` is its
 # relation and novelty logits as bytes, ``serial`` their values with the
-# halves run inline on this thread.  ``adam_bits()`` is two Adam steps
-# over a copy of the model's parameters (eight tiles) with fixed
-# gradients, as bytes, and ``adam_serial`` its value inline.
+# halves run inline on this thread.
 _PRELUDE = """
 import os, sys, threading
 sys.path.insert(0, "src")
 import numpy as np
 from entrex import autograd as ag, worker as worker_module
 from entrex.model import EncoderConfig, RelationModel
-from entrex.optim import _TILE, AdamState, adam_step
 from entrex.tokenizer import Vocabulary, tag_tokens_for_types
 
 vocab = Vocabulary(
@@ -44,19 +42,6 @@ def forward(ids):
     return tuple(t.data.tobytes() for t in mdl.finetune_forward(ids))
 
 
-def adam_bits():
-    params = ag.flat_parameters({name: p.data.shape for name, p in mdl.params.items()}, np.float32)
-    for name, p in params.items():
-        p.data[...] = mdl.params[name].data
-    assert sum(p.data.size for p in params.values()) >= 2 * _TILE
-    state, rng = AdamState(lr=1e-3), np.random.default_rng(5)
-    for _ in range(2):
-        for p in params.values():
-            p.grad = rng.standard_normal(p.data.shape, dtype=np.float32)
-        adam_step(params, state)
-    return b"".join(p.data.tobytes() for p in params.values())
-
-
 class Inline:
     def run(self, top, bottom):
         return top(), bottom()
@@ -64,7 +49,6 @@ class Inline:
 
 worker, worker_module._WORKER = worker_module._WORKER, Inline()
 serial = [forward(ids) for ids in seqs]
-adam_serial = adam_bits()
 worker_module._WORKER = worker
 threads = threading.active_count()
 """
@@ -79,16 +63,13 @@ def _run(body: str) -> None:
 
 
 def test_concurrent_callers_get_the_serial_bits():
-    """More callers than CPUs forwarding and stepping Adam at once, with the interpreter switching threads
-    often: one at a time has the worker, the others run their halves inline, and all get the serial bits."""
+    """More callers than CPUs forwarding at once, with the interpreter switching threads often: one at a
+    time has the worker, the others run their halves inline, and all get the serial bits."""
     _run("""
 results = {}
 
-def call(k, j):
-    return adam_bits() if j % 4 == k else forward(seqs[(k + j) % len(seqs)])
-
 def caller(k):
-    results[k] = [call(k, j) for j in range(20)]
+    results[k] = [forward(seqs[(k + j) % len(seqs)]) for j in range(20)]
 
 switch = sys.getswitchinterval()
 sys.setswitchinterval(1e-5)
@@ -102,7 +83,7 @@ finally:
     sys.setswitchinterval(switch)
 assert not any(t.is_alive() for t in callers)
 for k in range(4):
-    assert results[k] == [adam_serial if j % 4 == k else serial[(k + j) % len(seqs)] for j in range(20)], k
+    assert results[k] == [serial[(k + j) % len(seqs)] for j in range(20)], k
 """)
 
 
@@ -179,7 +160,7 @@ def test_a_forked_child_starts_its_own_worker():
 assert forward(seqs[0]) == serial[0]  # the parent's worker is running
 pid = os.fork()
 if pid == 0:
-    ok = [forward(ids) for ids in seqs] == serial and adam_bits() == adam_serial
+    ok = [forward(ids) for ids in seqs] == serial
     ok &= threading.active_count() == 1 + (worker_module._cpu_count() > 1)  # this thread and a new worker
     os._exit(0 if ok else 1)
 import signal, time
@@ -195,25 +176,33 @@ assert os.waitstatus_to_exitcode(reaped[1]) == 0
 """)
 
 
-def test_small_views_and_one_cpu_start_no_thread():
-    """A tiny pipeline run, whose views are under two tiles and whose sequences are short, starts no
-    thread.  A default-size Adam step starts the one worker with two CPUs and none with one, and a long
-    forward likewise; the bits are the same either way."""
+def test_adam_short_forwards_and_one_cpu_start_no_thread():
+    """A tiny pipeline run, whose sequences are short, starts no thread, and nor does a default-size Adam
+    step (eight tiles) on any CPU count.  A long forward starts the one worker with two CPUs and none with
+    one; the bits are the same either way."""
     _run("""
 from entrex import pipeline, synthetic, tokenizer
+from entrex.optim import _TILE, AdamState, adam_step
 
 train = synthetic.fixture_train_corpus()
 pipeline.run(train, tokenizer.build_vocab(train), EncoderConfig(d_model=16, n_layers=1, n_heads=2, ffn_dim=32),
              1e-3, 1, 1, seed=1)
 assert threading.active_count() == threads
 
-cpu_count, worker_module._cpu_count = worker_module._cpu_count, lambda: 1
-assert adam_bits() == adam_serial
+params = ag.flat_parameters({name: p.data.shape for name, p in mdl.params.items()}, np.float32)
+assert sum(p.data.size for p in params.values()) >= 2 * _TILE
+cpu_count = worker_module._cpu_count
+for cpus in (1, 2):
+    worker_module._cpu_count = lambda: cpus
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    adam_step(params, AdamState(lr=1e-3))
+    assert threading.active_count() == threads
+
+worker_module._cpu_count = lambda: 1
 assert [forward(ids) for ids in seqs] == serial
 assert threading.active_count() == threads
 worker_module._cpu_count = cpu_count
-assert adam_bits() == adam_serial
-assert threading.active_count() == threads + (worker_module._cpu_count() > 1)
 assert [forward(ids) for ids in seqs] == serial
 assert threading.active_count() == threads + (worker_module._cpu_count() > 1)
 """)
