@@ -22,6 +22,7 @@ IQR_SLACK = {
     "BENCH_32.json": 0.0,
     "BENCH_33.json": 0.0,
     "BENCH_34.json": 0.0,
+    "BENCH_35.json": 0.0,
 }
 
 
@@ -51,7 +52,8 @@ def _iqr_matches(recorded, exact, name):
 
 
 @pytest.mark.parametrize(
-    "name", ["BENCH_34.json", "BENCH_33.json", "BENCH_32.json", "BENCH_31.json", "BENCH_30.json", "BENCH_29.json"]
+    "name",
+    ["BENCH_35.json", "BENCH_34.json", "BENCH_33.json", "BENCH_32.json", "BENCH_31.json", "BENCH_30.json", "BENCH_29.json"],
 )
 def test_summary_blocks_are_recomputed_from_their_runs(name):
     record = _load(name)
